@@ -26,7 +26,10 @@ fn bench_engine_plane(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(30));
     for (name, mode) in [("bcast", Mode::Bcast), ("send", Mode::Targeted)] {
         group.bench_function(format!("{name}/reference/t1"), |b| {
-            b.iter(|| run_reference(&graph, programs(N, mode), SimConfig::seeded(7)).expect("run"))
+            b.iter(|| {
+                let mut programs = programs(N, mode);
+                run_reference(&graph, &mut programs, SimConfig::seeded(7)).expect("run")
+            })
         });
         for threads in [1usize, 8] {
             let cfg = SimConfig {

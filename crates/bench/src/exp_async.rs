@@ -19,8 +19,9 @@
 //!
 //! * every adversarial solve yields a **proper coloring** that is
 //!   **byte-identical** — coloring, stats, and pass log with the
-//!   synchronizer's own overhead counters masked — to the other engine
-//!   modes and the full shards × threads grid;
+//!   synchronizer's own overhead counters masked — to the
+//!   [`d1lc::solve_reference`] oracle and across the full shards ×
+//!   threads grid;
 //! * the overhead counters themselves are **geometry-invariant** across
 //!   the session grid (the adversary is a pure function of seed and
 //!   plan, not of the host);
@@ -39,8 +40,9 @@
 use crate::scenario::{Scenario, TableScenario};
 use crate::table::{f2, Table};
 use crate::workloads::{self, Instance, Scale};
+use crate::Solver;
 use congest::{FaultPlan, PassRecord, ScheduleCounters, SchedulePlan, SimConfig, SimError};
-use d1lc::{solve, EngineMode, SolveOptions, SolveResult};
+use d1lc::{solve, solve_reference, SolveOptions, SolveResult};
 use graphs::palette::check_coloring;
 use std::time::Instant;
 
@@ -50,7 +52,8 @@ pub fn scenarios() -> Vec<Box<dyn Scenario>> {
         "E0h",
         "Async-schedule sweep: hostile schedules through the α-synchronizer",
         "Every adversarial solve is a proper coloring byte-identical to the synchronous \
-         engine across engine modes, shards {1, 2, 4, 8}, and threads {1, 2, 8}; the \
+         engine and the reference oracle across shards {1, 2, 4, 8} and threads {1, 2, 8}; \
+         the \
          synchronizer's overhead (pulses/round, sync bits, waits, reorderings) is \
          geometry-invariant and honestly counted; SchedulePlan::none() reproduces the \
          synchronous solve bit for bit; a schedule that out-waits the watchdog fails \
@@ -126,18 +129,18 @@ fn wedged_plan() -> SchedulePlan {
     SchedulePlan::none().with_bursts(1.0, 6).with_patience(2)
 }
 
-/// One timed solve under `(sched, fault)`; returns wall seconds and the
+/// One timed solve under `(sched, fault)` through `solver` ([`solve`] or
+/// the [`solve_reference`] oracle); returns wall seconds and the
 /// (deterministic) result.
 fn async_solve(
     inst: &Instance,
-    engine: EngineMode,
+    solver: Solver,
     threads: usize,
     shards: usize,
     sched: SchedulePlan,
     fault: FaultPlan,
 ) -> (f64, Result<SolveResult, SimError>) {
     let opts = SolveOptions {
-        engine,
         sim: SimConfig {
             threads,
             shards,
@@ -149,14 +152,13 @@ fn async_solve(
         ..SolveOptions::seeded(SEED)
     };
     let start = Instant::now();
-    let result = solve(&inst.graph, &inst.lists, opts);
+    let result = solver(&inst.graph, &inst.lists, opts);
     (start.elapsed().as_secs_f64(), result)
 }
 
 /// The pass log with the synchronizer's own overhead counters masked —
-/// what must agree byte for byte with engines that never ran the
-/// synchronizer (the legacy per-pass sweep and reference plane both
-/// ignore the sched knob).
+/// what must agree byte for byte with the reference oracle, which never
+/// runs the synchronizer (it ignores the sched knob).
 fn masked_passes(r: &SolveResult) -> Vec<PassRecord> {
     r.log
         .passes()
@@ -204,7 +206,7 @@ pub fn e0h_async(scale: Scale) -> Table {
         let inst = workloads::gnp_window(n, SEED);
         for (label, sched, fault) in plans() {
             // Witness arm: the session engine at 1 thread, 1 shard.
-            let (_, witness) = async_solve(&inst, EngineMode::Session, 1, 1, sched, fault);
+            let (_, witness) = async_solve(&inst, solve, 1, 1, sched, fault);
             let witness = witness.expect("patient async solve completes");
             assert_eq!(
                 check_coloring(&inst.graph, &inst.lists, &witness.coloring),
@@ -251,16 +253,10 @@ pub fn e0h_async(scale: Scale) -> Table {
                     "E0h: stats diverged ({arm}, plan '{label}', n={n})"
                 );
             };
-            // Generational identity: the legacy engines (per-pass
-            // mailbox sweep and reference plane) ignore the sched knob
-            // entirely, so their masked-log agreement *is* the
+            // Oracle identity: the reference engine ignores the sched
+            // knob entirely, so its masked-log agreement *is* the
             // transcript-preservation claim.
-            let (_, per_pass) = async_solve(&inst, EngineMode::PerPass, 1, 1, sched, fault);
-            check(
-                "per-pass t=1",
-                &per_pass.expect("per-pass async solve completes"),
-            );
-            let (_, reference) = async_solve(&inst, EngineMode::Reference, 1, 1, sched, fault);
+            let (_, reference) = async_solve(&inst, solve_reference, 1, 1, sched, fault);
             check(
                 "reference t=1",
                 &reference.expect("reference solve completes"),
@@ -270,8 +266,7 @@ pub fn e0h_async(scale: Scale) -> Table {
             // diagonal gets printed rows.
             for shards in SHARDS {
                 for threads in THREADS {
-                    let (wall, result) =
-                        async_solve(&inst, EngineMode::Session, threads, shards, sched, fault);
+                    let (wall, result) = async_solve(&inst, solve, threads, shards, sched, fault);
                     let result = result.expect("sharded async solve completes");
                     check(&format!("session s={shards} t={threads}"), &result);
                     assert_eq!(
@@ -312,14 +307,7 @@ pub fn e0h_async(scale: Scale) -> Table {
         // The wedged arm: fail loud, never silently wrong, and never a
         // retry candidate — the schedule is a pure function of the seed
         // and the plan.
-        let (wall, stalled) = async_solve(
-            &inst,
-            EngineMode::Session,
-            1,
-            1,
-            wedged_plan(),
-            FaultPlan::none(),
-        );
+        let (wall, stalled) = async_solve(&inst, solve, 1, 1, wedged_plan(), FaultPlan::none());
         let err = stalled.expect_err("a 6-pulse burst must trip a 2-pulse watchdog");
         assert!(
             matches!(err, SimError::ScheduleStalled { .. }),
@@ -396,15 +384,15 @@ mod tests {
     }
 
     /// A tiny async cell runs end to end: proper coloring, overhead
-    /// actually counted, and the session/per-pass arms agree across a
-    /// shard split, sched counters included.
+    /// actually counted, and the session engine across a shard split
+    /// agrees with the oracle, sched counters masked.
     #[test]
     fn async_cell_smoke() {
         let inst = workloads::gnp_window(96, SEED);
         let sched = SchedulePlan::jittery(0.4, 3)
             .with_start_spread(2)
             .with_patience(PATIENCE);
-        let (_, session) = async_solve(&inst, EngineMode::Session, 2, 4, sched, FaultPlan::none());
+        let (_, session) = async_solve(&inst, solve, 2, 4, sched, FaultPlan::none());
         let session = session.expect("solve");
         assert_eq!(
             check_coloring(&inst.graph, &inst.lists, &session.coloring),
@@ -417,13 +405,13 @@ mod tests {
             overhead.pulses > session.rounds(),
             "an active adversary must cost extra pulses"
         );
-        let (_, per_pass) = async_solve(&inst, EngineMode::PerPass, 1, 1, sched, FaultPlan::none());
-        let per_pass = per_pass.expect("solve");
-        assert_eq!(session.coloring, per_pass.coloring);
-        assert_eq!(masked_passes(&session), masked_passes(&per_pass));
+        let (_, reference) = async_solve(&inst, solve_reference, 1, 1, sched, FaultPlan::none());
+        let reference = reference.expect("solve");
+        assert_eq!(session.coloring, reference.coloring);
+        assert_eq!(masked_passes(&session), masked_passes(&reference));
         assert!(
-            !per_pass.log.sched_totals().any(),
-            "the legacy per-pass engine must ignore the sched knob"
+            !reference.log.sched_totals().any(),
+            "the reference oracle must ignore the sched knob"
         );
     }
 
@@ -432,25 +420,11 @@ mod tests {
     #[test]
     fn wedged_plan_stalls_loud() {
         let inst = workloads::gnp_window(64, SEED);
-        let (_, r) = async_solve(
-            &inst,
-            EngineMode::Session,
-            1,
-            1,
-            wedged_plan(),
-            FaultPlan::none(),
-        );
+        let (_, r) = async_solve(&inst, solve, 1, 1, wedged_plan(), FaultPlan::none());
         let err = r.expect_err("must stall");
         assert!(matches!(err, SimError::ScheduleStalled { .. }));
         assert!(!err.is_transient());
-        let (_, again) = async_solve(
-            &inst,
-            EngineMode::Session,
-            8,
-            8,
-            wedged_plan(),
-            FaultPlan::none(),
-        );
+        let (_, again) = async_solve(&inst, solve, 8, 8, wedged_plan(), FaultPlan::none());
         assert_eq!(
             format!("{err}"),
             format!("{}", again.expect_err("must stall at any geometry")),

@@ -15,9 +15,9 @@
 //!
 //! * every faulty solve still yields a **proper coloring** (the
 //!   detect-and-repair guarantee, at every drop rate);
-//! * every plan's outcome is **byte-identical** across engine modes
-//!   (session, per-pass sweep, legacy reference) and threads {1, 2, 8}
-//!   — same coloring, same per-pass log, fault counters included;
+//! * every plan's outcome is **byte-identical** between the session
+//!   engine at threads {1, 2, 8} and the [`d1lc::solve_reference`]
+//!   oracle — same coloring, same per-pass log, fault counters included;
 //! * the `none` arm is byte-identical to a solve with a default
 //!   (fault-free) `SimConfig` — an inactive plan costs nothing and
 //!   changes nothing.
@@ -27,8 +27,9 @@
 use crate::scenario::{Scenario, TableScenario};
 use crate::table::{f2, Table};
 use crate::workloads::{self, Instance, Scale};
+use crate::Solver;
 use congest::{FaultPlan, SimConfig};
-use d1lc::{solve, EngineMode, SolveOptions, SolveResult};
+use d1lc::{solve, solve_reference, SolveOptions, SolveResult};
 use graphs::palette::check_coloring;
 use std::time::Instant;
 
@@ -37,14 +38,14 @@ pub fn scenarios() -> Vec<Box<dyn Scenario>> {
     vec![TableScenario::boxed(
         "E0e",
         "Chaos sweep: pipeline solves under deterministic fault injection",
-        "Every faulty solve stays a proper coloring and is byte-identical across engine \
-         modes and threads {1, 2, 8}; FaultPlan::none() reproduces the fault-free solve \
+        "Every faulty solve stays a proper coloring and is byte-identical between the \
+         session engine at threads {1, 2, 8} and the reference oracle; FaultPlan::none() reproduces the fault-free solve \
          bit for bit; rounds/repairs degrade gracefully as drop/delay/dup rates rise",
         e0e_chaos,
     )]
 }
 
-/// Solve seed (a member of the S1 sweep's seed set, matching E0b).
+/// Solve seed (a member of the S1 sweep's seed set).
 pub const SEED: u64 = 1;
 
 /// Per-pass round cap for every chaos arm. Heavily faulted passes stall
@@ -70,16 +71,16 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// One timed solve under `plan`; returns wall seconds and the
+/// One timed solve under `plan` through `solver` ([`solve`] or the
+/// [`solve_reference`] oracle); returns wall seconds and the
 /// (deterministic) result.
 fn chaos_solve(
     inst: &Instance,
-    engine: EngineMode,
+    solver: Solver,
     threads: usize,
     plan: FaultPlan,
 ) -> (f64, SolveResult) {
     let opts = SolveOptions {
-        engine,
         sim: SimConfig {
             threads,
             fault: plan,
@@ -89,7 +90,7 @@ fn chaos_solve(
         ..SolveOptions::seeded(SEED)
     };
     let start = Instant::now();
-    let result = solve(&inst.graph, &inst.lists, opts).expect("chaos solve completes");
+    let result = solver(&inst.graph, &inst.lists, opts).expect("chaos solve completes");
     (start.elapsed().as_secs_f64(), result)
 }
 
@@ -105,8 +106,9 @@ pub fn e0e_chaos(scale: Scale) -> Table {
             "E0e — chaos sweep, d1lc solve on gnp-window (S1 family) under seeded fault \
              plans, seed {SEED}, max {MAX_ROUNDS} rounds/pass (host cores={cores})",
         ),
-        "Proper colorings and byte-identical transcripts under every plan, engine mode, \
-         and thread count; repairs absorb what the faulty network loses",
+        "Proper colorings and byte-identical transcripts under every plan and thread \
+         count, matching the reference oracle; repairs absorb what the faulty network \
+         loses",
     );
     t.columns([
         "n",
@@ -125,7 +127,7 @@ pub fn e0e_chaos(scale: Scale) -> Table {
         let inst = workloads::gnp_window(n, SEED);
         for (label, plan) in plans() {
             // Witness arm: the session engine at 1 thread.
-            let (_, witness) = chaos_solve(&inst, EngineMode::Session, 1, plan);
+            let (_, witness) = chaos_solve(&inst, solve, 1, plan);
             assert_eq!(
                 check_coloring(&inst.graph, &inst.lists, &witness.coloring),
                 Ok(()),
@@ -169,15 +171,12 @@ pub fn e0e_chaos(scale: Scale) -> Table {
                     "E0e: stats diverged ({arm}, plan '{label}', n={n})"
                 );
             };
-            // Generational identity: the per-pass sweep and the legacy
-            // reference plane draw the same fault fates bundle for
-            // bundle (one row each; the reference plane is slow).
-            let (_, per_pass) = chaos_solve(&inst, EngineMode::PerPass, 1, plan);
-            check("per-pass t=1", &per_pass);
-            let (_, reference) = chaos_solve(&inst, EngineMode::Reference, 1, plan);
+            // Oracle identity: the reference engine draws the same fault
+            // fates bundle for bundle (no row; it is slow).
+            let (_, reference) = chaos_solve(&inst, solve_reference, 1, plan);
             check("reference t=1", &reference);
             for threads in [1usize, 2, 8] {
-                let (wall, result) = chaos_solve(&inst, EngineMode::Session, threads, plan);
+                let (wall, result) = chaos_solve(&inst, solve, threads, plan);
                 check(&format!("session t={threads}"), &result);
                 let faults = result.log.fault_totals();
                 t.row([
@@ -218,19 +217,19 @@ mod tests {
     }
 
     /// A tiny chaos cell runs end to end: proper coloring, faults
-    /// actually recorded, and the session/per-pass arms agree.
+    /// actually recorded, and the session engine agrees with the oracle.
     #[test]
     fn chaos_cell_smoke() {
         let inst = workloads::gnp_window(96, SEED);
         let plan = FaultPlan::lossy(0.3).with_delay(0.2, 2);
-        let (_, session) = chaos_solve(&inst, EngineMode::Session, 2, plan);
+        let (_, session) = chaos_solve(&inst, solve, 2, plan);
         assert_eq!(
             check_coloring(&inst.graph, &inst.lists, &session.coloring),
             Ok(())
         );
         assert!(session.log.fault_totals().dropped > 0, "no drops recorded");
-        let (_, per_pass) = chaos_solve(&inst, EngineMode::PerPass, 1, plan);
-        assert_eq!(session.coloring, per_pass.coloring);
-        assert_eq!(session.log.passes(), per_pass.log.passes());
+        let (_, reference) = chaos_solve(&inst, solve_reference, 1, plan);
+        assert_eq!(session.coloring, reference.coloring);
+        assert_eq!(session.log.passes(), reference.log.passes());
     }
 }

@@ -18,10 +18,10 @@
 //!
 //! * every crashed solve still yields a **proper coloring** — the
 //!   quarantine-and-recolor guarantee, at every crash rate;
-//! * every plan's outcome is **byte-identical** across engine modes
-//!   (session, per-pass sweep, legacy reference) and the full
-//!   shards × threads grid — same coloring, same per-pass log, crash
-//!   and fault counters included;
+//! * every plan's outcome is **byte-identical** across the session
+//!   engine's full shards × threads grid and the
+//!   [`d1lc::solve_reference`] oracle — same coloring, same per-pass
+//!   log, crash and fault counters included;
 //! * the `none` arm is byte-identical to a solve with a default
 //!   (fault-free) `SimConfig` — a plan without crash fates costs
 //!   nothing and changes nothing.
@@ -31,8 +31,9 @@
 use crate::scenario::{Scenario, TableScenario};
 use crate::table::{f2, Table};
 use crate::workloads::{self, Instance, Scale};
+use crate::Solver;
 use congest::{FaultPlan, SimConfig};
-use d1lc::{solve, EngineMode, SolveOptions, SolveResult};
+use d1lc::{solve, solve_reference, SolveOptions, SolveResult};
 use graphs::palette::check_coloring;
 use std::time::Instant;
 
@@ -42,7 +43,8 @@ pub fn scenarios() -> Vec<Box<dyn Scenario>> {
         "E0g",
         "Crash-chaos sweep: crash-stop/crash-recovery nodes under the full pipeline",
         "Every crashed solve ends in a proper coloring (quarantine-and-recolor) and is \
-         byte-identical across engine modes, shards {1, 2, 4, 8}, and threads {1, 2, 8}; \
+         byte-identical across shards {1, 2, 4, 8}, threads {1, 2, 8}, and the reference \
+         oracle; \
          a plan without crash fates reproduces the fault-free solve bit for bit; rounds \
          and central repairs degrade gracefully as the crash rate rises",
         e0g_crash,
@@ -86,17 +88,17 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// One timed solve under `plan`; returns wall seconds and the
+/// One timed solve under `plan` through `solver` ([`solve`] or the
+/// [`solve_reference`] oracle); returns wall seconds and the
 /// (deterministic) result.
 fn crash_solve(
     inst: &Instance,
-    engine: EngineMode,
+    solver: Solver,
     threads: usize,
     shards: usize,
     plan: FaultPlan,
 ) -> (f64, SolveResult) {
     let opts = SolveOptions {
-        engine,
         sim: SimConfig {
             threads,
             shards,
@@ -107,7 +109,7 @@ fn crash_solve(
         ..SolveOptions::seeded(SEED)
     };
     let start = Instant::now();
-    let result = solve(&inst.graph, &inst.lists, opts).expect("crash solve completes");
+    let result = solver(&inst.graph, &inst.lists, opts).expect("crash solve completes");
     (start.elapsed().as_secs_f64(), result)
 }
 
@@ -124,9 +126,9 @@ pub fn e0g_crash(scale: Scale) -> Table {
             "E0g — crash-chaos sweep, d1lc solve on gnp-window (S1 family) under seeded \
              crash fates, seed {SEED}, max {MAX_ROUNDS} rounds/pass (host cores={cores})",
         ),
-        "Proper colorings and byte-identical transcripts under every crash plan, engine \
-         mode, shard count, and thread count; quarantine-and-recolor absorbs what the \
-         crashes take down",
+        "Proper colorings and byte-identical transcripts under every crash plan, shard \
+         count, and thread count, matching the reference oracle; quarantine-and-recolor \
+         absorbs what the crashes take down",
     );
     t.columns([
         "n",
@@ -146,7 +148,7 @@ pub fn e0g_crash(scale: Scale) -> Table {
         let inst = workloads::gnp_window(n, SEED);
         for (label, plan) in plans() {
             // Witness arm: the session engine at 1 thread, 1 shard.
-            let (_, witness) = crash_solve(&inst, EngineMode::Session, 1, 1, plan);
+            let (_, witness) = crash_solve(&inst, solve, 1, 1, plan);
             assert_eq!(
                 check_coloring(&inst.graph, &inst.lists, &witness.coloring),
                 Ok(()),
@@ -192,20 +194,16 @@ pub fn e0g_crash(scale: Scale) -> Table {
                     "E0g: stats diverged ({arm}, plan '{label}', n={n})"
                 );
             };
-            // Generational identity: the per-pass sweep and the legacy
-            // reference plane draw the same crash fates node for node
-            // (one arm each; the reference plane is slow and ignores
-            // the shard knob).
-            let (_, per_pass) = crash_solve(&inst, EngineMode::PerPass, 1, 1, plan);
-            check("per-pass t=1", &per_pass);
-            let (_, reference) = crash_solve(&inst, EngineMode::Reference, 1, 1, plan);
+            // Oracle identity: the reference engine draws the same crash
+            // fates node for node (one arm; it is slow and ignores the
+            // shard knob).
+            let (_, reference) = crash_solve(&inst, solve_reference, 1, 1, plan);
             check("reference t=1", &reference);
             // The full shards × threads grid is asserted; the TIMED
             // diagonal gets printed rows.
             for shards in SHARDS {
                 for threads in THREADS {
-                    let (wall, result) =
-                        crash_solve(&inst, EngineMode::Session, threads, shards, plan);
+                    let (wall, result) = crash_solve(&inst, solve, threads, shards, plan);
                     check(&format!("session s={shards} t={threads}"), &result);
                     if !TIMED.contains(&(shards, threads)) {
                         continue;
@@ -267,13 +265,13 @@ mod tests {
     }
 
     /// A tiny crash cell runs end to end: proper coloring, crashes
-    /// actually recorded and quarantined, and the session/per-pass arms
-    /// agree across a shard split.
+    /// actually recorded and quarantined, and the session engine agrees
+    /// with the oracle across a shard split.
     #[test]
     fn crash_cell_smoke() {
         let inst = workloads::gnp_window(96, SEED);
         let plan = FaultPlan::none().with_crashes(0.05, 2);
-        let (_, session) = crash_solve(&inst, EngineMode::Session, 2, 4, plan);
+        let (_, session) = crash_solve(&inst, solve, 2, 4, plan);
         assert_eq!(
             check_coloring(&inst.graph, &inst.lists, &session.coloring),
             Ok(())
@@ -286,9 +284,9 @@ mod tests {
             !session.log.crashed_union().is_empty(),
             "no crashed nodes recorded"
         );
-        let (_, per_pass) = crash_solve(&inst, EngineMode::PerPass, 1, 1, plan);
-        assert_eq!(session.coloring, per_pass.coloring);
-        assert_eq!(session.log.passes(), per_pass.log.passes());
-        assert_eq!(session.stats.quarantined, per_pass.stats.quarantined);
+        let (_, reference) = crash_solve(&inst, solve_reference, 1, 1, plan);
+        assert_eq!(session.coloring, reference.coloring);
+        assert_eq!(session.log.passes(), reference.log.passes());
+        assert_eq!(session.stats.quarantined, reference.stats.quarantined);
     }
 }

@@ -126,8 +126,9 @@ fn run_new(g: &Graph, p: Vec<Flood>, cfg: SimConfig) -> (Vec<Flood>, RunReport) 
     run(g, p, cfg).expect("plane run")
 }
 
-fn run_ref(g: &Graph, p: Vec<Flood>, cfg: SimConfig) -> (Vec<Flood>, RunReport) {
-    run_reference(g, p, cfg).expect("reference run")
+fn run_ref(g: &Graph, mut p: Vec<Flood>, cfg: SimConfig) -> (Vec<Flood>, RunReport) {
+    let report = run_reference(g, &mut p, cfg).expect("reference run");
+    (p, report)
 }
 
 /// E0 — CSR mailbox plane vs the pre-PR sort-and-scatter plane.
@@ -224,7 +225,7 @@ mod tests {
         let cfg = SimConfig::seeded(3);
         for mode in [Mode::Bcast, Mode::Targeted] {
             let (a, ra) = run(&g, programs(300, mode), cfg).expect("run");
-            let (b, rb) = run_reference(&g, programs(300, mode), cfg).expect("reference");
+            let (b, rb) = run_ref(&g, programs(300, mode), cfg);
             assert_eq!(ra, rb);
             assert!(a.iter().zip(&b).all(|(x, y)| x.acc == y.acc));
             assert_eq!(ra.rounds, u64::from(ROUNDS) + 1);

@@ -1,11 +1,11 @@
 //! E0d — open-loop serving: the concurrent [`SolveServer`] under fixed
 //! arrival rates, measured to saturation.
 //!
-//! E0c answers "how fast can one caller drive the serving stack
-//! closed-loop?". A production frontend faces the opposite shape: an
-//! **open-loop** arrival process that does not slow down when the server
-//! does. E0d replays the E0c `uniform-256` serving mix as a paced
-//! arrival stream (fixed requests/sec, single submitter thread,
+//! A closed-loop caller (submit, wait, repeat) measures how fast one
+//! caller can drive the serving stack. A production frontend faces the
+//! opposite shape: an **open-loop** arrival process that does not slow
+//! down when the server does. E0d replays the `uniform-256` serving mix
+//! ([`uniform_requests`]) as a paced arrival stream (fixed requests/sec, single submitter thread,
 //! [`Admission::Reject`] so arrivals never stall) and reports, per
 //! (worker count, offered rate) cell:
 //!
@@ -18,8 +18,7 @@
 //! * **rejected** — arrivals shed by admission control at queue depth 64.
 //!
 //! The **closed** row is the PR 5 serving shape — the same stream driven
-//! submit-wait-submit at one worker (see
-//! [`crate::exp_service::serve_stream`]) — and anchors the `×closed`
+//! submit-wait-submit at one worker (see [`serve_stream`]) — and anchors the `×closed`
 //! column: the acceptance claim is that at saturation (offered ≥ 2× the
 //! closed-loop rate) the 1-worker server *sustains* at least the
 //! closed-loop batched rate, i.e. the queue/ticket machinery costs
@@ -31,13 +30,12 @@
 //! submission — saturation can shed load, but never corrupt a response.
 //! `BENCH_6.json` at the repo root is the committed full-scale snapshot.
 
-use crate::exp_service::{serve_stream, uniform_requests};
 use crate::scenario::{Scenario, TableScenario};
 use crate::table::{f2, Table};
-use crate::workloads::Scale;
+use crate::workloads::{self, Scale};
 use d1lc::server::SolveServer;
 use d1lc::service::{Admission, ServiceConfig, SolveRequest};
-use d1lc::{solve, SolveResult};
+use d1lc::{solve, SolveOptions, SolveResult};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,7 +58,55 @@ pub const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 /// Offered-rate multipliers over the measured closed-loop capacity.
 const RATE_MULTIPLIERS: [f64; 3] = [1.0, 2.0, 4.0];
 
-/// The paced arrival stream: the E0c uniform-256 serving mix cycled to
+/// Drive a request stream closed-loop through a one-worker server:
+/// submit, wait, repeat. Returns the responses, per-request walls and
+/// memo hits. E0d's closed-loop anchor and the `solve_throughput`
+/// criterion bench both use it.
+pub fn serve_stream(
+    config: ServiceConfig,
+    requests: &[SolveRequest],
+) -> (Vec<Arc<SolveResult>>, Vec<Duration>, u64) {
+    let server = SolveServer::start(config);
+    let handle = server.handle();
+    let mut results = Vec::with_capacity(requests.len());
+    let mut walls = Vec::with_capacity(requests.len());
+    for req in requests {
+        let start = Instant::now();
+        results.push(handle.solve(req.clone()).expect("serve"));
+        walls.push(start.elapsed());
+    }
+    let hits = server.stats().memo_hits;
+    (results, walls, hits)
+}
+
+/// The `uniform-256` serving stream at the given scale: a round-robin
+/// stream over a small catalog of n = 256 gnp-window instances × solve
+/// seeds, so most requests repeat an earlier one by identity (hot keys,
+/// the shape of high-traffic serving). Shared with the criterion bench
+/// (`benches/solve_throughput.rs`) so the two always measure the same
+/// stream.
+pub fn uniform_requests(scale: Scale) -> Vec<SolveRequest> {
+    let (topos, seeds, reps) = match scale {
+        Scale::Quick => (2u64, 2u64, 3usize),
+        Scale::Full => (4, 2, 4),
+    };
+    let mut catalog = Vec::new();
+    for t in 1..=topos {
+        let inst = workloads::gnp_window(256, t);
+        let (graph, lists) = (Arc::new(inst.graph), Arc::new(inst.lists));
+        for s in 1..=seeds {
+            catalog.push(SolveRequest::shared(
+                &graph,
+                &lists,
+                SolveOptions::seeded(s),
+            ));
+        }
+    }
+    let len = catalog.len() * reps;
+    catalog.into_iter().cycle().take(len).collect()
+}
+
+/// The paced arrival stream: the uniform-256 serving mix cycled to
 /// a fixed request count (quick stays CI-sized).
 fn arrival_stream(scale: Scale) -> Vec<SolveRequest> {
     let base = uniform_requests(scale);
@@ -271,8 +317,8 @@ pub fn e0d_open_loop(scale: Scale) -> Table {
 mod tests {
     use super::*;
 
-    /// The arrival stream is CI-sized at quick scale and cycles the E0c
-    /// mix (so the two experiments measure the same requests).
+    /// The arrival stream is CI-sized at quick scale and cycles the
+    /// uniform-256 mix.
     #[test]
     fn arrival_stream_cycles_the_uniform_mix() {
         let stream = arrival_stream(Scale::Quick);
@@ -285,6 +331,21 @@ mod tests {
             assert!(Arc::ptr_eq(&req.graph, &src.graph));
             assert_eq!(req.options.seed, src.options.seed);
         }
+    }
+
+    /// The uniform-256 stream repeats its catalog by identity: 4 distinct
+    /// (instance, seed) pairs, each requested 3 times at quick scale.
+    #[test]
+    fn uniform_stream_repeats_by_identity() {
+        let requests = uniform_requests(Scale::Quick);
+        assert_eq!(requests.len(), 12);
+        let mut keys: Vec<(usize, u64)> = requests
+            .iter()
+            .map(|r| (Arc::as_ptr(&r.graph) as usize, r.options.seed))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 4);
     }
 
     /// Nearest-rank per-mille percentiles on a known distribution.

@@ -28,7 +28,7 @@ use crate::scenario::{Scenario, TableScenario};
 use crate::table::{f2, Table};
 use crate::workloads::{self, Instance, Scale};
 use congest::{Ctx, Message, Program, Session, SimConfig};
-use d1lc::{solve, EngineMode, SolveOptions, SolveResult};
+use d1lc::{solve, SolveOptions, SolveResult};
 use graphs::palette::check_coloring;
 use std::time::Instant;
 
@@ -45,7 +45,7 @@ pub fn scenarios() -> Vec<Box<dyn Scenario>> {
     )]
 }
 
-/// Solve seed (a member of the S1 sweep's seed set, matching E0b/E0e).
+/// Solve seed (a member of the S1 sweep's seed set, matching E0e).
 pub const SEED: u64 = 1;
 
 /// The swept shard and thread counts.
@@ -55,7 +55,6 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// One timed solve at the given shard geometry; deterministic.
 fn sharded_solve(inst: &Instance, shards: usize, threads: usize) -> (f64, SolveResult) {
     let opts = SolveOptions {
-        engine: EngineMode::Session,
         sim: SimConfig {
             threads,
             shards,

@@ -42,8 +42,6 @@ pub mod exp_estimate;
 pub mod exp_hash;
 pub mod exp_plane;
 pub mod exp_server;
-pub mod exp_service;
-pub mod exp_session;
 pub mod exp_sharding;
 pub mod json;
 pub mod report;
@@ -59,3 +57,12 @@ pub use workloads::Scale;
 /// A table experiment runner: builds its workload at the given [`Scale`]
 /// and returns a printable [`Table`].
 pub type Experiment = fn(Scale) -> Table;
+
+/// A whole-pipeline solver: [`d1lc::solve`] or its differential oracle
+/// [`d1lc::solve_reference`]. The robustness experiments run both on
+/// every cell they assert identity for.
+pub type Solver = fn(
+    &graphs::Graph,
+    &graphs::palette::ListAssignment,
+    d1lc::SolveOptions,
+) -> Result<d1lc::SolveResult, congest::SimError>;

@@ -55,8 +55,9 @@ pub fn render_experiments_md(full: &Value, quick: &Value) -> Result<String, Stri
          fitting curves: E0e (fault chaos, `BENCH_7.json`), E0g (crash\n\
          chaos, `BENCH_9.json`), and E0h (async schedules, `BENCH_10.json`)\n\
          hard-fail unless every swept cell produces a\n\
-         proper coloring with byte-identical transcripts across engine\n\
-         generations, threads {1, 2, 8}, and shards {1, 2, 4, 8}. Degradation\n\
+         proper coloring with byte-identical transcripts between the session\n\
+         engine and the `solve_reference` oracle, across threads {1, 2, 8}\n\
+         and shards {1, 2, 4, 8}. Degradation\n\
          under those plans is recorded as data, not treated as failure: crash\n\
          recovery at rates ≤ 0.01 finishes with modest round growth and\n\
          full propriety, while crash-stop plans eventually silence every node,\n\

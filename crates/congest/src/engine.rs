@@ -7,9 +7,9 @@
 //! pool, the per-node RNGs, and the active-frontier scheduler; drivers
 //! that execute many passes over one graph should hold a session and
 //! reuse it — the results are byte-identical, the per-pass setup is
-//! amortized away. The pre-mailbox sort-and-scatter plane is preserved
-//! as [`crate::reference::run_reference`] for differential tests and
-//! benchmarks.
+//! amortized away. The sort-and-scatter plane of
+//! [`crate::reference::run_reference`] is the differential oracle every
+//! session transcript is tested against.
 
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -52,7 +52,7 @@ pub struct SimConfig {
     /// from `threads` exactly as before this knob existed; an explicit
     /// count is honored even on small graphs (useful for differential
     /// tests). Results are identical regardless of shard count; the
-    /// preserved engine generations ([`crate::reference`]) ignore it.
+    /// [`crate::reference`] oracle ignores it.
     pub shards: usize,
     /// Deterministic fault injection between send and delivery (see
     /// [`FaultPlan`]). The default, [`FaultPlan::none`], leaves every
@@ -250,7 +250,8 @@ pub(crate) mod tests {
     #[test]
     fn mailbox_plane_matches_reference_engine() {
         let g = gen::gnp(400, 0.02, 13);
-        let (pr, rr) = run_reference(&g, min_flood_programs(400), SimConfig::seeded(6)).unwrap();
+        let mut pr = min_flood_programs(400);
+        let rr = run_reference(&g, &mut pr, SimConfig::seeded(6)).unwrap();
         for threads in [1, 8] {
             let cfg = SimConfig {
                 threads,
@@ -598,7 +599,8 @@ pub(crate) mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let (base, rb) = run_reference(&g, mk(), SimConfig::seeded(2)).unwrap();
+        let mut base = mk();
+        let rb = run_reference(&g, &mut base, SimConfig::seeded(2)).unwrap();
         for threads in [1, 2, 8] {
             let cfg = SimConfig {
                 threads,
@@ -659,7 +661,8 @@ pub(crate) mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let (base, _) = run_reference(&g, mk(), SimConfig::seeded(2)).unwrap();
+        let mut base = mk();
+        run_reference(&g, &mut base, SimConfig::seeded(2)).unwrap();
         for threads in [1, 2, 8] {
             let cfg = SimConfig {
                 threads,

@@ -10,8 +10,8 @@
 //! of failing a strict run. The *bundle* — everything one sender puts on one directed
 //! edge in one round, in send order — is the unit every decision applies
 //! to, because it is also the unit the mailbox plane's delivery merge
-//! produces, so all three engine generations (session, per-pass sweep,
-//! legacy sort-and-scatter) can share one decision function and stay
+//! produces, so the session engine and the sort-and-scatter oracle
+//! ([`crate::reference`]) can share one decision function and stay
 //! byte-identical.
 //!
 //! Decisions are **stateless counter hashes**, not sequential RNG draws:
@@ -708,15 +708,13 @@ pub(crate) fn apply_cap<M: Message>(
     Ok(true)
 }
 
-/// The faulty counterpart of the plane engines' per-receiver delivery
-/// sweep ([`crate::session`]'s `route_shard` / [`crate::reference`]'s
-/// `sweep_route_range`): per in-neighbor, deliver due held-back bundles
-/// first, then gather the fresh bundle from the slot arrays (draining
-/// them exactly like the fast path), apply the cap, and route it through
-/// [`FaultState::decide`]. `stamp` is the slot-liveness stamp of this
-/// round (the session's epoch, the sweep engine's round); fault decisions
-/// always key on the pass-local `round` so every engine draws the same
-/// fates.
+/// The faulty counterpart of the session engine's per-receiver delivery
+/// sweep ([`crate::session`]'s `route_shard`): per in-neighbor, deliver
+/// due held-back bundles first, then gather the fresh bundle from the
+/// slot arrays (draining them exactly like the fast path), apply the
+/// cap, and route it through [`FaultState::decide`]. `stamp` is the slot-liveness stamp of this
+/// round (the session's epoch); fault decisions always key on the
+/// pass-local `round` so the session and the oracle draw the same fates.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_receiver_faulty<M: Message>(
     graph: &Graph,

@@ -18,8 +18,9 @@
 //!   permutation delivery, deterministic per-node randomness, optional
 //!   multi-threaded step *and* routing phases, and per-directed-edge
 //!   per-round bit accounting folded into slot writes;
-//! * [`reference::run_reference`] — the pre-mailbox sort-and-scatter
-//!   plane, kept as a differential-testing and benchmarking baseline;
+//! * [`reference::run_reference`] — the differential oracle: a simple
+//!   sequential sort-and-scatter engine that every [`Session`] transcript
+//!   is tested against;
 //! * [`Bandwidth`] — strict enforcement (prove a protocol CONGEST-legal)
 //!   or tracking (expose the congestion cost of LOCAL-style protocols via
 //!   [`RunReport::normalized_rounds`]);

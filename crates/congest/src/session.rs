@@ -10,7 +10,8 @@
 //! [`crate::run`] remains as a one-shot wrapper that builds a throwaway
 //! session. Shard geometry and the 2-barrier owner/ghost worker
 //! protocol are described below; results are byte-identical across
-//! shard counts, thread counts, and the preserved engine generations.
+//! shard counts and thread counts, and identical to the
+//! [`crate::reference`] oracle.
 //!
 //! # The active frontier
 //!
@@ -60,8 +61,7 @@
 //! construction**, and parks them on a pass barrier between passes.
 //! Each pass posts a type-erased job — a [`WorkerTask`] trait object
 //! over that pass's program type — and the workers run the whole pass
-//! coordinator-free with **two barriers per round** (down from the
-//! legacy engine's four, see [`crate::reference`]):
+//! coordinator-free with **two barriers per round**:
 //!
 //! * **Barrier A (exchange)** — after stepping its shards, a worker
 //!   publishes its lane flags and waits. Crossing A freezes every
@@ -318,7 +318,7 @@ fn step_shard<P: Program>(
 /// Deliver to the shard's dirty receivers: clear the inboxes filled last
 /// round, then sweep only receivers stamped with the current epoch —
 /// per receiver, the exact contiguous in-slot sweep and broadcast gather
-/// of the full-sweep engine, so inbox order, bit accounting, and strict
+/// of a full sweep, so inbox order, bit accounting, and strict
 /// checks are unchanged. Lanes the round didn't use are skipped.
 ///
 /// Dirty receivers are *found* by a sequential scan of the shard's slice
@@ -1063,8 +1063,7 @@ impl<M: Message> SessionCore<M> {
 ///
 /// The owner/ghost worker protocol spends exactly **2 round-barrier
 /// waits per full round** (the exchange barrier and the round-end
-/// barrier); the legacy pooled generations spend 4 per round (see the
-/// scoped pool in [`crate::reference`]). The sequential path spends 0.
+/// barrier). The sequential path spends 0.
 /// Waits are counted by worker 0; an error round can end after a single
 /// wait (a step error aborts before routing).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1726,7 +1725,7 @@ mod tests {
     use crate::engine::tests::min_flood_programs;
 
     /// Session reuse across passes is byte-identical to a fresh
-    /// `congest::run` per pass and to the legacy reference plane, for
+    /// `congest::run` per pass and to the reference oracle, for
     /// every thread count.
     #[test]
     fn session_reuse_matches_per_pass_runs() {
@@ -1749,9 +1748,10 @@ mod tests {
                     },
                 )
                 .expect("one-shot");
-                let (refr, rr) = run_reference(
+                let mut refr = min_flood_programs(400);
+                let rr = run_reference(
                     &g,
-                    min_flood_programs(400),
+                    &mut refr,
                     SimConfig {
                         seed: pass_seed,
                         ..cfg
@@ -1794,7 +1794,8 @@ mod tests {
         let g = gen::gnp(300, 0.05, 3);
         let mk = || vec![Loner { done: false }; 300];
         let (a, ra) = run(&g, mk(), SimConfig::seeded(2)).expect("run");
-        let (b, rb) = run_reference(&g, mk(), SimConfig::seeded(2)).expect("reference");
+        let mut b = mk();
+        let rb = run_reference(&g, &mut b, SimConfig::seeded(2)).expect("reference");
         assert_eq!(ra, rb);
         assert!(a.iter().zip(&b).all(|(x, y)| x.done == y.done));
     }

@@ -45,7 +45,7 @@ pub fn solve_random_trial(
         seed: opts.seed,
         ..opts.sim
     };
-    let mut driver = Driver::with_engine(g, sim, opts.engine);
+    let mut driver = Driver::new(g, sim);
     let mut states = initial_states(g, lists, &opts.profile, opts.seed);
     driver.begin_phase("setup");
     states = driver.run_pass("codec-setup", states, CodecSetupPass::new)?;
@@ -191,7 +191,7 @@ pub fn solve_naive_multitrial(
         seed: opts.seed,
         ..opts.sim
     };
-    let mut driver = Driver::with_engine(g, sim, opts.engine);
+    let mut driver = Driver::new(g, sim);
     let mut states = initial_states(g, lists, &opts.profile, opts.seed);
     states = driver.run_pass("codec-setup", states, CodecSetupPass::new)?;
     states = driver.activate(states, |_| true)?;

@@ -1,16 +1,19 @@
 //! The pass driver: threads node states through a sequence of engine runs
 //! and accumulates their round/bit costs in a [`PassLog`].
 //!
-//! By default every pass of a solve runs on **one persistent
-//! [`congest::Session`]** — the mailbox plane, worker pool, RNG vector,
-//! and scheduler scratch are built once and reused, and each pass only
-//! pays the O(n) frontier/RNG reset (see [`EngineMode`]). The per-pass
-//! seed derivation (`mix2(solve seed, pass counter)`) is unchanged, so
-//! every engine mode produces byte-identical transcripts. The same seed
-//! also keys any active [`congest::FaultPlan`]: fault fates are a pure
-//! function of `(pass seed, plan, edge, round)`, so the byte-identity
-//! guarantee extends to faulty runs — same plan, same losses, same
-//! recovery, whatever the engine mode or thread count. An active
+//! Every pass of a solve runs on **one persistent [`congest::Session`]**
+//! — the mailbox plane, worker pool, RNG vector, and scheduler scratch
+//! are built once and reused, and each pass only pays the O(n)
+//! frontier/RNG reset. The one other engine a driver can run is the
+//! differential oracle [`congest::reference::run_reference`]
+//! (`Driver::reference`, reached publicly through
+//! [`crate::pipeline::solve_reference`]); with the same per-pass seed
+//! derivation (`mix2(solve seed, pass counter)`) both produce
+//! byte-identical transcripts. The same seed also keys any active
+//! [`congest::FaultPlan`]: fault fates are a pure function of
+//! `(pass seed, plan, edge, round)`, so the byte-identity guarantee
+//! extends to faulty runs — same plan, same losses, same recovery,
+//! whatever the engine or thread count. An active
 //! [`congest::SchedulePlan`] is keyed the same way: each pass draws its
 //! schedule from its own pass seed, the α-synchronizer keeps the pass
 //! transcript byte-identical to the synchronous run, and only the
@@ -80,29 +83,6 @@ impl CancelToken {
     }
 }
 
-/// Which engine path a [`Driver`] runs its passes on. All three produce
-/// byte-identical transcripts, reports, and colorings for every thread
-/// count; they differ only in speed (differentially tested in
-/// `tests/prop_invariants.rs`, measured by experiment E0b).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineMode {
-    /// One persistent session for the whole solve: plane, pool, and
-    /// scratch built once, frontier and RNGs reset per pass. The fast
-    /// default.
-    #[default]
-    Session,
-    /// The pre-session engine, per pass
-    /// ([`congest::reference::run_mailbox_sweep`]): mailbox plane rebuilt
-    /// every pass, all `n` programs stepped and every edge slot swept
-    /// every round, worker threads respawned per pass. Kept as the
-    /// baseline arm of the E0b microbench.
-    PerPass,
-    /// The legacy sort-and-scatter plane per pass
-    /// ([`congest::reference::run_reference`]) — differential testing
-    /// and benchmarking only.
-    Reference,
-}
-
 /// A failed engine pass **with the node states recovered** from the
 /// aborted programs, so callers can report partial colorings instead of
 /// aborting blind. Converts into the bare [`SimError`] via `From` (which
@@ -111,15 +91,13 @@ pub enum EngineMode {
 pub struct PassFailure {
     /// The engine error that aborted the pass.
     pub error: SimError,
-    /// Every node's last consistent state. Empty in the legacy modes
-    /// ([`EngineMode::PerPass`] / [`EngineMode::Reference`]), whose
-    /// entry points consume their programs.
+    /// Every node's last consistent state.
     pub states: Vec<NodeState>,
 }
 
 impl PassFailure {
     /// The partial coloring at the moment of failure (one entry per
-    /// node, `None` where uncolored; empty in reference mode).
+    /// node, `None` where uncolored).
     pub fn partial_coloring(&self) -> Vec<Option<Color>> {
         self.states.iter().map(|s| s.color).collect()
     }
@@ -142,7 +120,6 @@ impl From<PassFailure> for SimError {
 
 enum Engine<'g> {
     Session(Box<Session<'g, Wire>>),
-    PerPass,
     Reference,
 }
 
@@ -162,18 +139,20 @@ pub struct Driver<'g> {
 
 impl<'g> Driver<'g> {
     /// A driver with the given base engine config, running every pass on
-    /// one persistent session ([`EngineMode::Session`]).
+    /// one persistent session.
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
-        Driver::with_engine(graph, config, EngineMode::Session)
+        let session = Session::new(graph, config);
+        Driver::with(graph, config, Engine::Session(Box::new(session)))
     }
 
-    /// A driver running its passes through the given engine path.
-    pub fn with_engine(graph: &'g Graph, config: SimConfig, mode: EngineMode) -> Self {
-        let engine = match mode {
-            EngineMode::Session => Engine::Session(Box::new(Session::new(graph, config))),
-            EngineMode::PerPass => Engine::PerPass,
-            EngineMode::Reference => Engine::Reference,
-        };
+    /// A driver running every pass on the differential oracle
+    /// [`congest::reference::run_reference`]: byte-identical transcripts
+    /// to [`Driver::new`], none of the session engine's machinery.
+    pub(crate) fn reference(graph: &'g Graph, config: SimConfig) -> Self {
+        Driver::with(graph, config, Engine::Reference)
+    }
+
+    fn with(graph: &'g Graph, config: SimConfig, engine: Engine<'g>) -> Self {
         Driver {
             graph,
             config,
@@ -186,21 +165,17 @@ impl<'g> Driver<'g> {
     }
 
     /// A driver running on an **already-bound session** — the
-    /// throughput-mode entry point: `d1lc::service::SolveService` binds a
-    /// pooled [`congest::SessionCore`] to the request's graph and hands
-    /// the session here, so a stream of solves reuses one warm engine.
+    /// throughput-mode entry point: the serving layer binds a pooled
+    /// [`congest::SessionCore`] to the request's graph and hands the
+    /// session here, so a stream of solves reuses one warm engine.
     /// Behaviour is byte-identical to [`Driver::new`] on the same graph
     /// and config (session reuse only changes who owns the allocations).
     pub fn from_session(session: Session<'g, Wire>) -> Self {
-        Driver {
-            graph: session.graph(),
-            config: session.config(),
-            log: PassLog::new(),
-            seed: session.config().seed,
-            engine: Engine::Session(Box::new(session)),
-            pass_counter: 0,
-            cancel: None,
-        }
+        Driver::with(
+            session.graph(),
+            session.config(),
+            Engine::Session(Box::new(session)),
+        )
     }
 
     /// Install a cooperative [`CancelToken`]: every subsequent pass
@@ -221,27 +196,15 @@ impl<'g> Driver<'g> {
             })
     }
 
-    /// Recover the engine session for recycling (`None` for the legacy
-    /// engine modes, which own no session). The caller typically unbinds
-    /// it back into a [`congest::SessionCore`] and pools it for the next
-    /// solve.
+    /// Recover the engine session for recycling (`None` for a driver on
+    /// the reference oracle, which owns no session). The caller
+    /// typically unbinds it back into a [`congest::SessionCore`] and
+    /// pools it for the next solve.
     pub fn into_session(self) -> Option<Session<'g, Wire>> {
         match self.engine {
             Engine::Session(session) => Some(*session),
-            _ => None,
+            Engine::Reference => None,
         }
-    }
-
-    /// Whether this driver runs a preserved pre-session baseline
-    /// ([`EngineMode::PerPass`] / [`EngineMode::Reference`]). Passes
-    /// with a dual compute path (e.g. the ACD estimate signatures, see
-    /// `estimate::window_signature_reference`) select their pre-fusion
-    /// reference implementation under a legacy engine, so the E0b
-    /// microbench's baseline arms measure the full pre-PR configuration
-    /// — engine *and* pass compute. Outputs are identical either way
-    /// (pinned by tests).
-    pub fn legacy_compute(&self) -> bool {
-        !matches!(self.engine, Engine::Session(_))
     }
 
     /// Mark a pipeline-phase boundary: every pass recorded from now on is
@@ -276,38 +239,11 @@ impl<'g> Driver<'g> {
         self.pass_counter += 1;
         let seed = mix2(self.seed, self.pass_counter);
         let mut programs: Vec<P> = states.into_iter().map(&mut build).collect();
-        let outcome = match &mut self.engine {
-            Engine::Session(session) => session.run(&mut programs, seed),
-            legacy => {
-                let config = SimConfig {
-                    seed,
-                    ..self.config
-                };
-                let run = match legacy {
-                    Engine::PerPass => congest::reference::run_mailbox_sweep::<P>,
-                    _ => congest::reference::run_reference::<P>,
-                };
-                return match run(self.graph, programs, config) {
-                    Ok((programs, report)) => {
-                        self.log.record(name, report);
-                        Ok(programs.into_iter().map(StatePass::into_state).collect())
-                    }
-                    Err(error) => Err(PassFailure {
-                        error,
-                        states: Vec::new(),
-                    }),
-                };
-            }
-        };
+        let outcome = self.execute(name, seed, &mut programs);
+        let states = programs.into_iter().map(StatePass::into_state).collect();
         match outcome {
-            Ok(report) => {
-                self.log.record(name, report);
-                Ok(programs.into_iter().map(StatePass::into_state).collect())
-            }
-            Err(error) => Err(PassFailure {
-                error,
-                states: programs.into_iter().map(StatePass::into_state).collect(),
-            }),
+            Ok(()) => Ok(states),
+            Err(error) => Err(PassFailure { error, states }),
         }
     }
 
@@ -320,9 +256,8 @@ impl<'g> Driver<'g> {
     ///
     /// # Errors
     ///
-    /// Returns the engine error together with the programs (empty in
-    /// [`EngineMode::Reference`], whose legacy entry point consumes
-    /// them), so callers can recover states for partial reporting.
+    /// Returns the engine error together with the programs, so callers
+    /// can recover states for partial reporting.
     #[allow(clippy::type_complexity)]
     pub fn run_seeded<P: congest::Program<Msg = Wire>>(
         &mut self,
@@ -333,33 +268,33 @@ impl<'g> Driver<'g> {
         if let Some(error) = self.cancelled_now() {
             return Err((error, programs));
         }
-        let outcome = match &mut self.engine {
-            Engine::Session(session) => session.run(&mut programs, seed),
-            legacy => {
+        match self.execute(name, seed, &mut programs) {
+            Ok(()) => Ok(programs),
+            Err(error) => Err((error, programs)),
+        }
+    }
+
+    /// Run one pass of `programs` on the driver's engine and record its
+    /// report under `name`. On error the programs hold every node's
+    /// state at the failing round.
+    fn execute<P: congest::Program<Msg = Wire>>(
+        &mut self,
+        name: &'static str,
+        seed: u64,
+        programs: &mut [P],
+    ) -> Result<(), SimError> {
+        let report = match &mut self.engine {
+            Engine::Session(session) => session.run(programs, seed)?,
+            Engine::Reference => {
                 let config = SimConfig {
                     seed,
                     ..self.config
                 };
-                let run = match legacy {
-                    Engine::PerPass => congest::reference::run_mailbox_sweep::<P>,
-                    _ => congest::reference::run_reference::<P>,
-                };
-                return match run(self.graph, programs, config) {
-                    Ok((programs, report)) => {
-                        self.log.record(name, report);
-                        Ok(programs)
-                    }
-                    Err(error) => Err((error, Vec::new())),
-                };
+                congest::reference::run_reference(self.graph, programs, config)?
             }
         };
-        match outcome {
-            Ok(report) => {
-                self.log.record(name, report);
-                Ok(programs)
-            }
-            Err(error) => Err((error, programs)),
-        }
+        self.log.record(name, report);
+        Ok(())
     }
 
     /// Refresh activation: node `v` stays/becomes active iff `keep(v)` and
@@ -483,12 +418,12 @@ mod tests {
         assert_eq!(Driver::uncolored_count(&states), 0);
     }
 
-    /// All three engine modes drive byte-identical pass sequences.
+    /// The session driver and the reference oracle drive byte-identical
+    /// pass sequences.
     #[test]
-    fn engine_modes_are_transcript_identical() {
+    fn session_and_reference_drivers_are_transcript_identical() {
         let g = gen::gnp(60, 0.1, 2);
-        let run_mode = |mode: EngineMode| {
-            let mut driver = Driver::with_engine(&g, SimConfig::seeded(9), mode);
+        let run = |mut driver: Driver<'_>| {
             let mut states = fresh(&g);
             states = driver.activate(states, |_| true).unwrap();
             for _ in 0..12 {
@@ -497,12 +432,42 @@ mod tests {
             let colors: Vec<_> = states.iter().map(|s| s.color).collect();
             (colors, driver.log)
         };
-        let (base_colors, base_log) = run_mode(EngineMode::Session);
-        for mode in [EngineMode::PerPass, EngineMode::Reference] {
-            let (colors, log) = run_mode(mode);
-            assert_eq!(base_colors, colors, "{mode:?} coloring diverged");
-            assert_eq!(base_log.passes(), log.passes(), "{mode:?} log diverged");
-        }
+        let (colors, log) = run(Driver::new(&g, SimConfig::seeded(9)));
+        let (ref_colors, ref_log) = run(Driver::reference(&g, SimConfig::seeded(9)));
+        assert_eq!(colors, ref_colors, "reference coloring diverged");
+        assert_eq!(log.passes(), ref_log.passes(), "reference log diverged");
+    }
+
+    /// An aborted pass under the reference oracle hands back all `n`
+    /// recovered states, with the same partial coloring as the session
+    /// driver.
+    #[test]
+    fn reference_driver_recovers_states_on_abort() {
+        let g = gen::gnp(60, 0.1, 4);
+        let cfg = SimConfig {
+            fault: congest::FaultPlan::none().with_abort(0.02),
+            ..SimConfig::seeded(8)
+        };
+        let run = |mut driver: Driver<'_>| {
+            let mut states = driver.activate(fresh(&g), |_| true)?;
+            for _ in 0..40 {
+                states = driver.try_color(states, "trial")?;
+            }
+            Ok::<_, PassFailure>(states)
+        };
+        let session = run(Driver::new(&g, cfg)).expect_err("a 2% abort rate fires");
+        let oracle = run(Driver::reference(&g, cfg)).expect_err("a 2% abort rate fires");
+        assert!(matches!(
+            oracle.error,
+            congest::SimError::FaultInjected { .. }
+        ));
+        assert_eq!(oracle.error, session.error);
+        assert_eq!(oracle.states.len(), g.n(), "every state recovered");
+        assert_eq!(oracle.partial_coloring(), session.partial_coloring());
+        assert!(
+            oracle.partial_coloring().iter().any(Option::is_some),
+            "the abort hits after some trials colored nodes"
+        );
     }
 
     /// A fired cancel token fails the next pass at its boundary with

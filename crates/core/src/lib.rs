@@ -67,11 +67,9 @@ pub mod wire;
 pub use baseline::{greedy_oracle, solve_naive_multitrial, solve_random_trial};
 pub use buddy_uniform::{uniform_buddy, BuddyOutcome, UniformBuddyParams};
 pub use config::ParamProfile;
-pub use driver::{CancelToken, Driver, EngineMode, PassFailure};
+pub use driver::{CancelToken, Driver, PassFailure};
 pub use palette::Palette;
-pub use pipeline::{solve, SolveOptions, SolveResult, Stats};
+pub use pipeline::{solve, solve_reference, SolveOptions, SolveResult, Stats};
 pub use server::{ServerHandle, ServerStats, SolveServer, Ticket};
-#[allow(deprecated)]
-pub use service::SolveService;
 pub use service::{Admission, ConfigError, RequestPolicy, ServeError, ServiceConfig, SolveRequest};
 pub use state::{AcdClass, NodeState};

@@ -21,7 +21,7 @@
 
 use crate::config::ParamProfile;
 use crate::dense::color_dense;
-use crate::driver::{Driver, EngineMode};
+use crate::driver::Driver;
 use crate::palette::Palette;
 use crate::passes::CodecSetupPass;
 use crate::shattering::cleanup;
@@ -58,11 +58,6 @@ pub struct SolveOptions {
     /// ECC, `acd_uniform`) instead of the representative-hash ACD. The
     /// rest of the pipeline is shared.
     pub uniform_acd: bool,
-    /// Engine path for the solve's passes: one persistent
-    /// [`congest::Session`] by default; the per-pass and legacy-plane
-    /// paths produce byte-identical results and exist for benchmarking
-    /// and differential testing (experiment E0b).
-    pub engine: EngineMode,
 }
 
 impl Default for SolveOptions {
@@ -72,7 +67,6 @@ impl Default for SolveOptions {
             seed: 0xc010_41f0,
             sim: SimConfig::default(),
             uniform_acd: false,
-            engine: EngineMode::Session,
         }
     }
 }
@@ -331,23 +325,59 @@ pub fn solve(
     lists: &ListAssignment,
     opts: SolveOptions,
 ) -> Result<SolveResult, SimError> {
+    let sim = solve_config(g, lists, &opts);
+    solve_on(&mut Driver::new(g, sim), g, lists, &opts)
+}
+
+/// [`solve`] with every pass run on the differential oracle
+/// [`congest::reference::run_reference`] instead of the session engine.
+///
+/// This is the oracle the session engine is tested against: for the
+/// same inputs it returns a byte-identical [`SolveResult`] — coloring,
+/// per-pass reports and stats — at any thread count, shard count or
+/// fault plan. A schedule plan changes *when* messages arrive, never
+/// *what*: the oracle runs it synchronously, so its pass reports carry
+/// no synchronizer overhead counters and agree with [`solve`]'s once
+/// those are masked. It is slow by design; use it only to check
+/// [`solve`].
+///
+/// # Errors
+///
+/// As [`solve`].
+///
+/// # Panics
+///
+/// As [`solve`].
+pub fn solve_reference(
+    g: &Graph,
+    lists: &ListAssignment,
+    opts: SolveOptions,
+) -> Result<SolveResult, SimError> {
+    let sim = solve_config(g, lists, &opts);
+    solve_on(&mut Driver::reference(g, sim), g, lists, &opts)
+}
+
+/// The engine config of a solve, after checking its input lists.
+///
+/// # Panics
+///
+/// Panics if `lists` is not a valid (degree+1)-list assignment for `g`.
+fn solve_config(g: &Graph, lists: &ListAssignment, opts: &SolveOptions) -> SimConfig {
     assert!(
         lists.is_degree_plus_one(g),
         "lists must give every node ≥ deg+1 colors"
     );
-    let sim = SimConfig {
+    SimConfig {
         seed: opts.seed,
         ..opts.sim
-    };
-    let mut driver = Driver::with_engine(g, sim, opts.engine);
-    solve_on(&mut driver, g, lists, &opts)
+    }
 }
 
 /// Run the full pipeline on a caller-provided [`Driver`] — the engine
 /// (and therefore any pooled session behind it) is the caller's to own
 /// and recycle. `driver.log` is consumed into the result. This is how
-/// [`crate::service::SolveService`] runs solves on reused sessions;
-/// results are byte-identical to [`solve`] with the same options.
+/// [`crate::server`] runs solves on reused sessions; results are
+/// byte-identical to [`solve`] with the same options.
 ///
 /// # Errors
 ///

@@ -256,7 +256,6 @@ struct AtomicStats {
     fresh_sessions: AtomicU64,
     rebinds: AtomicU64,
     same_graph_rebinds: AtomicU64,
-    legacy_engine_solves: AtomicU64,
 }
 
 /// A point-in-time snapshot of the server's counters.
@@ -288,8 +287,6 @@ pub struct ServerStats {
     /// Engine runs that rebound a warm core to the same graph (reverse
     /// permutation rebuild skipped).
     pub same_graph_rebinds: u64,
-    /// Requests honored through a legacy engine mode (no pooling).
-    pub legacy_engine_solves: u64,
 }
 
 /// Atomic supervision/lifecycle counters (see [`HealthSnapshot`]).
@@ -363,7 +360,6 @@ impl ServerShared {
             fresh_sessions: get(&s.fresh_sessions),
             rebinds: get(&s.rebinds),
             same_graph_rebinds: get(&s.same_graph_rebinds),
-            legacy_engine_solves: get(&s.legacy_engine_solves),
         }
     }
 
@@ -555,8 +551,7 @@ impl ServerHandle {
         self.shared.fail(job, error);
     }
 
-    /// Submit and wait: the drop-in replacement for the deprecated
-    /// batched `SolveService::solve`.
+    /// Submit and wait: one request, served synchronously.
     ///
     /// # Errors
     ///
@@ -875,8 +870,6 @@ fn run_job(
         s.rebinds.fetch_add(core_use.rebinds, Ordering::Relaxed);
         s.same_graph_rebinds
             .fetch_add(core_use.same_graph_rebinds, Ordering::Relaxed);
-        s.legacy_engine_solves
-            .fetch_add(core_use.legacy, Ordering::Relaxed);
         match solved {
             Ok(result) => break Ok(Arc::new(result)),
             Err(congest::SimError::Cancelled { .. }) => {
@@ -1196,21 +1189,5 @@ mod tests {
         // Without a retry limit the same transient failure is Engine(_).
         let req = SolveRequest::shared(&g, &lists, options);
         assert!(matches!(handle.solve(req), Err(ServeError::Engine(_))));
-    }
-
-    #[test]
-    fn legacy_engine_modes_are_honored() {
-        let (g, lists) = instance(50, 12);
-        let server = SolveServer::start(ServiceConfig::default());
-        let handle = server.handle();
-        let mut options = SolveOptions::seeded(6);
-        options.engine = crate::EngineMode::PerPass;
-        let served = handle
-            .solve(SolveRequest::shared(&g, &lists, options))
-            .expect("legacy engine serves");
-        let direct = crate::solve(&g, &lists, options).expect("one-shot");
-        assert_eq!(served.coloring, direct.coloring);
-        assert_eq!(handle.stats().legacy_engine_solves, 1);
-        assert_eq!(handle.stats().fresh_sessions, 0);
     }
 }

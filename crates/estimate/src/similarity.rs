@@ -163,30 +163,6 @@ pub fn window_signature(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
     once
 }
 
-/// The pre-fusion [`window_signature`]: materialize the scaled set, sort
-/// a copy, apply the isolated-set operator, pack the bitmap. **Preserved
-/// verbatim as a baseline** — `tests` pin it equal to the fused
-/// implementation, and the E0b microbench's pre-PR arm runs the ACD
-/// estimates through it to measure what the fusion bought.
-pub fn window_signature_reference(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
-    if setup.k == 1 {
-        // Force the general (hash-map) isolated path, as the original
-        // always took: pass a distinct, sorted copy as `b`.
-        let mut sorted = s.to_vec();
-        sorted.sort_unstable();
-        let t = h.isolated(s, &sorted);
-        return h.window_bitmap(&t);
-    }
-    let scaled: Vec<u64> = s
-        .iter()
-        .flat_map(|&x| (0..setup.k).map(move |i| x * setup.k + i))
-        .collect();
-    let mut sorted = scaled.clone();
-    sorted.sort_unstable();
-    let t = h.isolated(&scaled, &sorted);
-    h.window_bitmap(&t)
-}
-
 /// `|h(T_u) ∩ h(T_v)|` from the two bitmaps.
 pub fn intersection_size(bu: &[u64], bv: &[u64]) -> usize {
     bu.iter()
@@ -217,6 +193,28 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The pre-fusion [`window_signature`]: materialize the scaled set,
+    /// sort a copy, apply the isolated-set operator, pack the bitmap. The
+    /// oracle the fused kernel is pinned against.
+    fn window_signature_reference(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
+        if setup.k == 1 {
+            // Force the general (hash-map) isolated path, as the original
+            // always took: pass a distinct, sorted copy as `b`.
+            let mut sorted = s.to_vec();
+            sorted.sort_unstable();
+            let t = h.isolated(s, &sorted);
+            return h.window_bitmap(&t);
+        }
+        let scaled: Vec<u64> = s
+            .iter()
+            .flat_map(|&x| (0..setup.k).map(move |i| x * setup.k + i))
+            .collect();
+        let mut sorted = scaled.clone();
+        sorted.sort_unstable();
+        let t = h.isolated(&scaled, &sorted);
+        h.window_bitmap(&t)
+    }
 
     fn run_once(su: &[u64], sv: &[u64], eps: f64, seed: u64, trial: u64) -> SimilarityEstimate {
         let mut rng = StdRng::seed_from_u64(trial);

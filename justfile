@@ -33,23 +33,10 @@ bench:
 bench-json:
     cargo run --release -p bench --bin experiments -- --json bench.json E0
 
-# End-to-end solve benches: the E0b session-vs-per-pass microbench
-# (BENCH_4.json at the repo root is the committed full-scale snapshot)
-# plus the criterion companion bench.
-bench-solve:
-    cargo run --release -p bench --bin experiments -- --json BENCH_4.json E0b
-    cargo bench -p bench --bench solve_pipeline
-
-# Throughput-mode serving benches: the E0c SolveService-vs-fresh
-# microbench (BENCH_5.json at the repo root is the committed full-scale
-# snapshot) plus the criterion companion bench.
-bench-throughput:
-    cargo run --release -p bench --bin experiments -- --json BENCH_5.json E0c
-    cargo bench -p bench --bench solve_throughput
-
-# Open-loop serving bench: the E0d fixed-arrival-rate sweep over the
-# concurrent SolveServer (BENCH_6.json at the repo root is the committed
-# full-scale snapshot) plus the criterion companion bench.
+# Serving benches: the E0d fixed-arrival-rate sweep over the concurrent
+# SolveServer (BENCH_6.json at the repo root is the committed full-scale
+# snapshot) plus the closed-loop criterion bench over the same
+# uniform-256 stream.
 bench-server:
     cargo run --release -p bench --bin experiments -- --json BENCH_6.json E0d
     cargo bench -p bench --bench solve_throughput
@@ -57,7 +44,8 @@ bench-server:
 # Chaos bench: the E0e fault-injection sweep (drop × delay × dup plans
 # through the full pipeline; BENCH_7.json at the repo root is the
 # committed full-scale snapshot). Its run asserts proper colorings and
-# byte-identical transcripts across engine modes and threads {1, 2, 8}.
+# byte-identical transcripts across threads {1, 2, 8} and the
+# run_reference oracle.
 bench-chaos:
     cargo run --release -p bench --bin experiments -- --json BENCH_7.json E0e
 
@@ -65,7 +53,7 @@ bench-chaos:
 # × threads {1, 2, 8} through the full pipeline; BENCH_8.json at the
 # repo root is the committed full-scale snapshot). Its run asserts
 # byte-identical transcripts across every cell and the owner/ghost
-# engine's ≤2 barrier-waits/round budget (legacy engines: 4).
+# engine's ≤2 barrier-waits/round budget.
 bench-sharding:
     cargo run --release -p bench --bin experiments -- --json BENCH_8.json E0f
 
@@ -73,8 +61,8 @@ bench-sharding:
 # plans over the shards {1, 2, 4, 8} × threads {1, 2, 8} grid;
 # BENCH_9.json at the repo root is the committed full-scale snapshot).
 # Its run asserts proper colorings on the live graph and byte-identical
-# transcripts across every geometry and all three engine generations
-# before any timing is reported.
+# transcripts across every geometry and the run_reference oracle before
+# any timing is reported.
 bench-crash:
     cargo run --release -p bench --bin experiments -- --json BENCH_9.json E0g
 
@@ -122,9 +110,14 @@ test-slow:
     PROPTEST_CASES=96 cargo test -q --test prop_invariants crashed_
     PROPTEST_CASES=96 cargo test -q --test prop_invariants async_
 
+# The frozen benchmark package's self-test (perfbench/, declared in
+# BENCHMARK.json), exactly as CI runs it.
+perfbench-selftest:
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Rustdoc exactly as CI enforces it (warnings are errors).
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Everything CI checks, in CI order.
-ci: verify lint doc bench-smoke examples experiments-md
+ci: verify lint doc perfbench-selftest bench-smoke examples experiments-md

@@ -242,15 +242,25 @@ mod plane_vs_reference {
         }
     }
 
+    /// The chatter protocol on the [`run_reference`] oracle.
+    pub fn reference(
+        graph: &Graph,
+        cfg: SimConfig,
+    ) -> Result<(Vec<Chatter>, congest::RunReport), String> {
+        let mut programs = chatter_programs(graph.n());
+        let report = run_reference(graph, &mut programs, cfg).map_err(|e| format!("{e:?}"))?;
+        Ok((programs, report))
+    }
+
     pub fn assert_planes_agree(graph: &Graph, seed: u64) -> Result<(), String> {
         assert_planes_agree_under(graph, seed, congest::FaultPlan::none())
     }
 
-    /// The same three-way differential under an arbitrary fault plan:
-    /// the legacy reference plane, the per-pass mailbox sweep, and the
-    /// session engine at threads {1, 2, 8} must produce identical
-    /// transcripts and identical `RunReport`s — including the fault
-    /// counters and the starved-receiver list the plan generates.
+    /// The same differential under an arbitrary fault plan: the
+    /// reference oracle and the session engine at threads {1, 2, 8} must
+    /// produce identical transcripts and identical `RunReport`s —
+    /// including the fault counters and the starved-receiver list the
+    /// plan generates.
     pub fn assert_planes_agree_under(
         graph: &Graph,
         seed: u64,
@@ -261,21 +271,7 @@ mod plane_vs_reference {
             fault: plan,
             ..SimConfig::seeded(seed)
         };
-        let (ref_progs, ref_report) =
-            run_reference(graph, chatter_programs(n), cfg).map_err(|e| format!("{e:?}"))?;
-        let (sweep_progs, sweep_report) =
-            congest::reference::run_mailbox_sweep(graph, chatter_programs(n), cfg)
-                .map_err(|e| format!("{e:?}"))?;
-        if sweep_report != ref_report {
-            return Err("RunReport diverged: sweep vs reference".into());
-        }
-        for (v, (a, b)) in sweep_progs.iter().zip(&ref_progs).enumerate() {
-            if a.transcript != b.transcript {
-                return Err(format!(
-                    "transcript diverged at node {v}: sweep vs reference"
-                ));
-            }
-        }
+        let (ref_progs, ref_report) = reference(graph, cfg)?;
         for threads in [1usize, 2, 8] {
             let cfg = SimConfig { threads, ..cfg };
             let (progs, report) =
@@ -294,26 +290,25 @@ mod plane_vs_reference {
         Ok(())
     }
 
-    /// PR-8 tentpole contract, engine level: the owner/ghost sharded
-    /// session engine reproduces the legacy reference plane and the
-    /// per-pass mailbox sweep byte for byte — same `RunReport` (fault
-    /// counters and starved lists included), same per-node transcripts —
-    /// for every shard count in {1, 2, 4, 8} × thread count in {1, 2, 8},
-    /// under an arbitrary fault plan.
-    pub fn assert_sharded_generations_agree(
+    /// Engine-level shard contract: the owner/ghost sharded session
+    /// engine reproduces the reference oracle byte for byte — same
+    /// `RunReport` (fault counters and starved lists included), same
+    /// per-node transcripts — for every shard count in {1, 2, 4, 8} ×
+    /// thread count in {1, 2, 8}, under an arbitrary fault plan.
+    pub fn assert_sharded_matches_reference(
         graph: &Graph,
         seed: u64,
         plan: congest::FaultPlan,
     ) -> Result<(), String> {
         let cap = SimConfig::seeded(seed).max_rounds;
-        assert_sharded_generations_agree_capped(graph, seed, plan, cap)
+        assert_sharded_matches_reference_capped(graph, seed, plan, cap)
     }
 
-    /// [`assert_sharded_generations_agree`] with an explicit per-run
+    /// [`assert_sharded_matches_reference`] with an explicit per-run
     /// round cap. Crash plans need one: a crash-stopped chatter node
     /// never reports done, so an uncapped faulty run would spin to the
     /// default 100k-round ceiling (forgiving mode never errors out).
-    pub fn assert_sharded_generations_agree_capped(
+    pub fn assert_sharded_matches_reference_capped(
         graph: &Graph,
         seed: u64,
         plan: congest::FaultPlan,
@@ -325,21 +320,7 @@ mod plane_vs_reference {
             max_rounds,
             ..SimConfig::seeded(seed)
         };
-        let (ref_progs, ref_report) =
-            run_reference(graph, chatter_programs(n), cfg).map_err(|e| format!("{e:?}"))?;
-        let (sweep_progs, sweep_report) =
-            congest::reference::run_mailbox_sweep(graph, chatter_programs(n), cfg)
-                .map_err(|e| format!("{e:?}"))?;
-        if sweep_report != ref_report {
-            return Err("RunReport diverged: sweep vs reference".into());
-        }
-        for (v, (a, b)) in sweep_progs.iter().zip(&ref_progs).enumerate() {
-            if a.transcript != b.transcript {
-                return Err(format!(
-                    "transcript diverged at node {v}: sweep vs reference"
-                ));
-            }
-        }
+        let (ref_progs, ref_report) = reference(graph, cfg)?;
         for shards in [1usize, 2, 4, 8] {
             for threads in [1usize, 2, 8] {
                 let cfg = SimConfig {
@@ -370,7 +351,8 @@ mod plane_vs_reference {
     /// correctness-preserving. Under any [`congest::SchedulePlan`] the
     /// session engine's transcripts and `RunReport` (minus the
     /// synchronizer's own overhead counters) are byte-identical to the
-    /// schedule-free synchronous run, for every shard count in
+    /// schedule-free synchronous run and to the reference oracle, for
+    /// every shard count in
     /// {1, 2, 4, 8} × thread count {1, 2, 8}, composed with an
     /// arbitrary fault plan. The overhead counters themselves must be
     /// geometry-invariant, and an inactive plan must record none.
@@ -391,6 +373,19 @@ mod plane_vs_reference {
             congest::run(graph, chatter_programs(n), sync_cfg).map_err(|e| format!("{e:?}"))?;
         if sync_report.sched.any() {
             return Err("synchronous anchor recorded synchronizer overhead".into());
+        }
+        // The oracle ignores the schedule, so under it the oracle must
+        // still reproduce the synchronous anchor.
+        let (ref_progs, ref_report) = reference(graph, SimConfig { sched, ..sync_cfg })?;
+        if ref_report != sync_report {
+            return Err("RunReport diverged: synchronous session vs reference".into());
+        }
+        for (v, (a, b)) in sync_progs.iter().zip(&ref_progs).enumerate() {
+            if a.transcript != b.transcript {
+                return Err(format!(
+                    "transcript diverged at node {v}: synchronous session vs reference"
+                ));
+            }
         }
         let mut overhead = None;
         for shards in [1usize, 2, 4, 8] {
@@ -456,11 +451,11 @@ proptest! {
         }
     }
 
-    /// PR-7 tentpole contract, engine level: a faulty run is a pure
-    /// function of `(seed, FaultPlan)` — the legacy plane, the mailbox
-    /// sweep, and the session engine at threads {1, 2, 8} draw the same
-    /// drop/delay/dup fates bundle for bundle, so transcripts, fault
-    /// counters, and starved lists agree byte for byte.
+    /// Fault contract, engine level: a faulty run is a pure function of
+    /// `(seed, FaultPlan)` — the reference oracle and the session engine
+    /// at threads {1, 2, 8} draw the same drop/delay/dup fates bundle for
+    /// bundle, so transcripts, fault counters, and starved lists agree
+    /// byte for byte.
     #[test]
     fn faulty_planes_agree_byte_for_byte(
         kind in 0usize..5,
@@ -487,12 +482,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: proptest_cases(6), ..ProptestConfig::default() })]
 
-    /// PR-8 tentpole contract: the shard-differential battery. Every
-    /// shard count {1, 2, 4, 8} × thread count {1, 2, 8} × fault plan
-    /// {none, drop/delay/dup} × graph generator reproduces the preserved
-    /// engine generations byte for byte (per-node transcripts and full
-    /// `RunReport`s), and a full pipeline solve over the shard axis
-    /// yields the identical proper coloring and pass log.
+    /// The shard-differential battery. Every shard count {1, 2, 4, 8} ×
+    /// thread count {1, 2, 8} × fault plan {none, drop/delay/dup} × graph
+    /// generator reproduces the reference oracle byte for byte (per-node
+    /// transcripts and full `RunReport`s), and a full pipeline solve over
+    /// the shard axis yields the identical proper coloring and pass log,
+    /// equal to the `solve_reference` oracle's.
     #[test]
     fn sharded_engine_matches_all_generations(
         kind in 0usize..5,
@@ -508,7 +503,7 @@ proptest! {
         dup_pm in 0u32..400,
     ) {
         use congest_coloring::congest::{FaultPlan, SimConfig};
-        use congest_coloring::d1lc::EngineMode;
+        use congest_coloring::d1lc::solve_reference;
 
         let plan = if faulty == 1 {
             FaultPlan::lossy(f64::from(drop_pm) / 1000.0)
@@ -520,29 +515,32 @@ proptest! {
         let graph = plane_vs_reference::graph_for(kind, n, p, gseed);
         // Engine level: transcripts across the full shard × thread grid.
         if let Err(msg) =
-            plane_vs_reference::assert_sharded_generations_agree(&graph, seed, plan)
+            plane_vs_reference::assert_sharded_matches_reference(&graph, seed, plan)
         {
             prop_assert!(false, "{}", msg);
         }
         // Pipeline level: the solve stays proper and byte-identical to
         // the unsharded anchor for every shard count.
         let lists = random_lists(&graph, 32, 0, lseed);
+        let opts = |shards: usize, threads: usize| SolveOptions {
+            sim: SimConfig {
+                threads,
+                shards,
+                fault: plan,
+                max_rounds: 200,
+                ..SimConfig::default()
+            },
+            ..SolveOptions::seeded(seed)
+        };
         let run = |shards: usize, threads: usize| {
-            let opts = SolveOptions {
-                engine: EngineMode::Session,
-                sim: SimConfig {
-                    threads,
-                    shards,
-                    fault: plan,
-                    max_rounds: 200,
-                    ..SimConfig::default()
-                },
-                ..SolveOptions::seeded(seed)
-            };
-            solve(&graph, &lists, opts).expect("sharded solve completes")
+            solve(&graph, &lists, opts(shards, threads)).expect("sharded solve completes")
         };
         let base = run(0, 1);
         prop_assert_eq!(check_coloring(&graph, &lists, &base.coloring), Ok(()));
+        let oracle = solve_reference(&graph, &lists, opts(0, 1)).expect("oracle solve completes");
+        prop_assert!(base.coloring == oracle.coloring, "coloring diverged: reference");
+        prop_assert!(base.log.passes() == oracle.log.passes(), "pass log diverged: reference");
+        prop_assert!(base.stats == oracle.stats, "stats diverged: reference");
         for shards in [1usize, 2, 4, 8] {
             for threads in [1usize, 8] {
                 let other = run(shards, threads);
@@ -650,11 +648,12 @@ proptest! {
         }
     }
 
-    /// PR-7 tentpole contract, pipeline level: a faulty solve is exactly
+    /// Fault contract, pipeline level: a faulty solve is exactly
     /// reproducible from `(seed, FaultPlan)` — identical coloring, pass
-    /// log (fault counters and starved lists included), and stats across
-    /// every engine mode and thread count — and detect-and-repair keeps
-    /// the coloring proper whatever the loss pattern.
+    /// log (fault counters and starved lists included), and stats for
+    /// the session engine and the `solve_reference` oracle at every
+    /// thread count — and detect-and-repair keeps the coloring proper
+    /// whatever the loss pattern.
     #[test]
     fn faulty_solve_is_deterministic(
         n in 8usize..160,
@@ -667,16 +666,16 @@ proptest! {
         dup_pm in 0u32..500,
     ) {
         use congest_coloring::congest::{FaultPlan, SimConfig};
-        use congest_coloring::d1lc::EngineMode;
+        use congest_coloring::d1lc::solve_reference;
 
         let g = gen::gnp(n, p, gseed);
         let lists = random_lists(&g, 32, 0, lseed);
         let plan = FaultPlan::lossy(f64::from(drop_pm) / 1000.0)
             .with_delay(f64::from(delay_pm) / 1000.0, 3)
             .with_dup(f64::from(dup_pm) / 1000.0);
-        let run = |engine: EngineMode, threads: usize| {
+        let run = |oracle: bool, threads: usize| {
+            let solver = if oracle { solve_reference } else { solve };
             let opts = SolveOptions {
-                engine,
                 sim: SimConfig {
                     threads,
                     fault: plan,
@@ -685,42 +684,42 @@ proptest! {
                 },
                 ..SolveOptions::seeded(seed)
             };
-            solve(&g, &lists, opts).expect("faulty solve still completes")
+            solver(&g, &lists, opts).expect("faulty solve still completes")
         };
-        let base = run(EngineMode::Session, 1);
+        let base = run(false, 1);
         prop_assert_eq!(check_coloring(&g, &lists, &base.coloring), Ok(()));
-        for engine in [EngineMode::Session, EngineMode::PerPass, EngineMode::Reference] {
+        for oracle in [false, true] {
             for threads in [1usize, 2, 8] {
-                if engine == EngineMode::Session && threads == 1 {
+                if !oracle && threads == 1 {
                     continue;
                 }
-                let other = run(engine, threads);
+                let other = run(oracle, threads);
                 prop_assert!(
                     base.coloring == other.coloring,
-                    "faulty coloring diverged: {:?} t={}",
-                    engine,
+                    "faulty coloring diverged: oracle={} t={}",
+                    oracle,
                     threads
                 );
                 prop_assert!(
                     base.log.passes() == other.log.passes(),
-                    "faulty pass log diverged: {:?} t={}",
-                    engine,
+                    "faulty pass log diverged: oracle={} t={}",
+                    oracle,
                     threads
                 );
                 prop_assert!(
                     base.stats == other.stats,
-                    "faulty stats diverged: {:?} t={}",
-                    engine,
+                    "faulty stats diverged: oracle={} t={}",
+                    oracle,
                     threads
                 );
             }
         }
     }
 
-    /// PR-9 tentpole contract: crash fates are a pure function of
+    /// Crash contract: crash fates are a pure function of
     /// `(pass seed, plan, node, round)`. Runs under crash-stop and
     /// crash-recovery plans (optionally composed with message loss)
-    /// reproduce the preserved engine generations byte for byte — same
+    /// reproduce the reference oracle byte for byte — same
     /// per-node transcripts, same `RunReport` (crash counters and
     /// crashed lists included) — across shards {1, 2, 4, 8} × threads
     /// {1, 2, 8}, and a full pipeline solve over the shard axis yields
@@ -738,7 +737,6 @@ proptest! {
         drop_pm in 0u32..400,
     ) {
         use congest_coloring::congest::{FaultPlan, SimConfig};
-        use congest_coloring::d1lc::EngineMode;
 
         let plan = FaultPlan::lossy(f64::from(drop_pm) / 1000.0)
             .with_crashes(f64::from(crash_pm) / 1000.0, recovery);
@@ -746,7 +744,7 @@ proptest! {
         // Engine level: a crash-stopped node never finishes, so the run
         // is bounded by the cap, not by termination.
         if let Err(msg) =
-            plane_vs_reference::assert_sharded_generations_agree_capped(&graph, seed, plan, 64)
+            plane_vs_reference::assert_sharded_matches_reference_capped(&graph, seed, plan, 64)
         {
             prop_assert!(false, "{}", msg);
         }
@@ -755,7 +753,6 @@ proptest! {
         let lists = random_lists(&graph, 32, 0, lseed);
         let run = |shards: usize, threads: usize| {
             let opts = SolveOptions {
-                engine: EngineMode::Session,
                 sim: SimConfig {
                     threads,
                     shards,
@@ -817,7 +814,7 @@ proptest! {
         drop_pm in 0u32..300,
     ) {
         use congest_coloring::congest::{FaultPlan, ScheduleCounters, SchedulePlan, SimConfig};
-        use congest_coloring::d1lc::{EngineMode, SolveResult};
+        use congest_coloring::d1lc::{solve_reference, SolveResult};
 
         let rate = f64::from(rate_pm) / 1000.0;
         let sched = match plan_kind {
@@ -842,20 +839,19 @@ proptest! {
         // Pipeline level: the adversarial solve stays proper and
         // byte-identical to the synchronous unsharded anchor.
         let lists = random_lists(&graph, 32, 0, lseed);
+        let opts = |sched: SchedulePlan, shards: usize, threads: usize| SolveOptions {
+            sim: SimConfig {
+                threads,
+                shards,
+                fault,
+                sched,
+                max_rounds: 200,
+                ..SimConfig::default()
+            },
+            ..SolveOptions::seeded(seed)
+        };
         let run = |sched: SchedulePlan, shards: usize, threads: usize| {
-            let opts = SolveOptions {
-                engine: EngineMode::Session,
-                sim: SimConfig {
-                    threads,
-                    shards,
-                    fault,
-                    sched,
-                    max_rounds: 200,
-                    ..SimConfig::default()
-                },
-                ..SolveOptions::seeded(seed)
-            };
-            solve(&graph, &lists, opts).expect("async solve completes")
+            solve(&graph, &lists, opts(sched, shards, threads)).expect("async solve completes")
         };
         let masked = |r: &SolveResult| {
             r.log
@@ -871,6 +867,12 @@ proptest! {
         let base = run(SchedulePlan::none(), 0, 1);
         prop_assert_eq!(check_coloring(&graph, &lists, &base.coloring), Ok(()));
         let base_log = masked(&base);
+        // The oracle ignores the schedule: it must match the masked log.
+        let oracle =
+            solve_reference(&graph, &lists, opts(sched, 0, 1)).expect("oracle solve completes");
+        prop_assert!(base.coloring == oracle.coloring, "async coloring diverged: reference");
+        prop_assert!(base_log == masked(&oracle), "async pass log diverged: reference");
+        prop_assert!(base.stats == oracle.stats, "async stats diverged: reference");
         for shards in [1usize, 4, 8] {
             for threads in [1usize, 8] {
                 let other = run(sched, shards, threads);
@@ -896,12 +898,11 @@ proptest! {
         }
     }
 
-    /// PR-4 satellite: a full pipeline solve on one persistent engine
-    /// session is byte-identical — same coloring, same per-pass
-    /// `RunReport` log — to the per-pass pre-session engine and to the
-    /// legacy reference plane, for every thread count in {1, 2, 8}
-    /// (node counts straddle the engine's parallel threshold, so the
-    /// pooled session path is exercised too).
+    /// A full pipeline solve on one persistent engine session is
+    /// byte-identical — same coloring, same per-pass `RunReport` log —
+    /// to the `solve_reference` oracle, for every thread count in
+    /// {1, 2, 8} (node counts straddle the engine's parallel threshold,
+    /// so the pooled session path is exercised too).
     #[test]
     fn session_solve_matches_legacy_engines(
         n in 8usize..320,
@@ -911,36 +912,36 @@ proptest! {
         seed in 0u64..500,
     ) {
         use congest_coloring::congest::SimConfig;
-        use congest_coloring::d1lc::EngineMode;
+        use congest_coloring::d1lc::solve_reference;
 
         let g = gen::gnp(n, p, gseed);
         let lists = random_lists(&g, 32, 0, lseed);
-        let run = |engine: EngineMode, threads: usize| {
+        let run = |oracle: bool, threads: usize| {
+            let solver = if oracle { solve_reference } else { solve };
             let opts = SolveOptions {
-                engine,
                 sim: SimConfig { threads, ..SimConfig::default() },
                 ..SolveOptions::seeded(seed)
             };
-            solve(&g, &lists, opts).expect("solve")
+            solver(&g, &lists, opts).expect("solve")
         };
-        let base = run(EngineMode::Session, 1);
+        let base = run(false, 1);
         prop_assert_eq!(check_coloring(&g, &lists, &base.coloring), Ok(()));
-        for engine in [EngineMode::Session, EngineMode::PerPass, EngineMode::Reference] {
+        for oracle in [false, true] {
             for threads in [1usize, 2, 8] {
-                if engine == EngineMode::Session && threads == 1 {
+                if !oracle && threads == 1 {
                     continue;
                 }
-                let other = run(engine, threads);
+                let other = run(oracle, threads);
                 prop_assert!(
                     base.coloring == other.coloring,
-                    "coloring diverged: {:?} t={}",
-                    engine,
+                    "coloring diverged: oracle={} t={}",
+                    oracle,
                     threads
                 );
                 prop_assert!(
                     base.log.passes() == other.log.passes(),
-                    "pass log diverged: {:?} t={}",
-                    engine,
+                    "pass log diverged: oracle={} t={}",
+                    oracle,
                     threads
                 );
             }
