@@ -27,7 +27,7 @@ use crate::state::{AcdClass, NodeState};
 use crate::wire::{tags, Wire};
 use congest::message::bits_for_range;
 use congest::{Ctx, Program};
-use estimate::{intersection_size, window_signature, EdgeSetup, SimilarityScheme};
+use estimate::{intersection_size, EdgeSetup, Signer, SimilarityScheme};
 use graphs::NodeId;
 use prand::mix::mix3;
 
@@ -150,6 +150,7 @@ impl Program for BuddyEstimatePass {
                 let me = ctx.id();
                 let my_deg = self.active_degree();
                 let own = self.active_set(ctx);
+                let mut signer = Signer::new(&own);
                 for pos in 0..ctx.neighbors().len() {
                     if !self.st.neighbor_active[pos] {
                         continue;
@@ -157,7 +158,7 @@ impl Program for BuddyEstimatePass {
                     let nb = ctx.neighbors()[pos];
                     let setup = self.edge_setup(me, nb, my_deg, self.neighbor_adeg[pos] as usize);
                     let h = setup.family.member(self.edge_index[pos]);
-                    let words = window_signature(&setup, &h, &own);
+                    let words = signer.sign(&setup, &h);
                     self.my_sigs[pos] = words.clone();
                     ctx.send(
                         nb,

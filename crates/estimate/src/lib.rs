@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod four_cycles;
 mod joint_sample;
@@ -46,7 +47,7 @@ pub use neighborhood::{run_neighborhood_similarity, NeighborhoodSimilarity, NsMs
 pub use scheme::SimilarityScheme;
 pub use similarity::{
     estimate_similarity, exact_intersection, intersection_size, window_signature, EdgeSetup,
-    SimilarityEstimate,
+    Signer, SimilarityEstimate,
 };
 pub use sparsity::{estimate_sparsity, SparsityEstimates};
 pub use triangles::{find_triangle_rich_edges, TriangleReport};

@@ -14,7 +14,7 @@
 //! 3. estimates are computed locally; the program finishes.
 
 use crate::scheme::SimilarityScheme;
-use crate::similarity::{intersection_size, window_signature, EdgeSetup};
+use crate::similarity::{intersection_size, EdgeSetup, Signer};
 use congest::message::bits_for_range;
 use congest::{Ctx, Message, Program};
 use graphs::NodeId;
@@ -65,6 +65,9 @@ pub struct NeighborhoodSimilarity {
     neighbor_degrees: Vec<u32>,
     /// Per-neighbor family index agreed for the edge.
     edge_index: Vec<u64>,
+    /// Round-2 signatures, cached per neighbor: round 3 compares against
+    /// exactly the signature this node computed and sent.
+    my_sigs: Vec<Vec<u64>>,
     /// Per-neighbor estimate of `|N(u) ∩ N(v)|` (valid once done).
     estimates: Vec<f64>,
     done: bool,
@@ -80,6 +83,7 @@ impl NeighborhoodSimilarity {
             degree_bits: bits_for_range(n as u64) as u32,
             neighbor_degrees: Vec::new(),
             edge_index: Vec::new(),
+            my_sigs: Vec::new(),
             estimates: Vec::new(),
             done: false,
         }
@@ -112,6 +116,7 @@ impl Program for NeighborhoodSimilarity {
             0 => {
                 self.neighbor_degrees = vec![0; ctx.degree()];
                 self.edge_index = vec![0; ctx.degree()];
+                self.my_sigs = vec![Vec::new(); ctx.degree()];
                 ctx.broadcast(NsMsg::Degree {
                     degree: ctx.degree() as u32,
                     bits: self.degree_bits,
@@ -155,11 +160,13 @@ impl Program for NeighborhoodSimilarity {
                 let me = ctx.id();
                 let my_deg = ctx.degree();
                 let own: Vec<u64> = ctx.neighbors().iter().map(|&w| u64::from(w)).collect();
+                let mut signer = Signer::new(&own);
                 for i in 0..ctx.neighbors().len() {
                     let nb = ctx.neighbors()[i];
                     let setup = self.edge_setup(me, nb, my_deg, self.neighbor_degrees[i] as usize);
                     let h = setup.family.member(self.edge_index[i]);
-                    let bitmap = window_signature(&setup, &h, &own);
+                    let bitmap = signer.sign(&setup, &h);
+                    self.my_sigs[i] = bitmap.clone();
                     ctx.send(
                         nb,
                         NsMsg::Signature {
@@ -172,7 +179,6 @@ impl Program for NeighborhoodSimilarity {
             _ => {
                 let me = ctx.id();
                 let my_deg = ctx.degree();
-                let own: Vec<u64> = ctx.neighbors().iter().map(|&w| u64::from(w)).collect();
                 self.estimates = vec![0.0; ctx.degree()];
                 for &(from, ref msg) in ctx.inbox() {
                     if let NsMsg::Signature { bitmap, .. } = msg {
@@ -181,8 +187,7 @@ impl Program for NeighborhoodSimilarity {
                             .expect("signature from non-neighbor");
                         let setup =
                             self.edge_setup(me, from, my_deg, self.neighbor_degrees[i] as usize);
-                        let h = setup.family.member(self.edge_index[i]);
-                        let mine = window_signature(&setup, &h, &own);
+                        let mine = std::mem::take(&mut self.my_sigs[i]);
                         let j = intersection_size(&mine, bitmap);
                         self.estimates[i] = setup.descale(j);
                     }

@@ -13,8 +13,10 @@
 
 use crate::scheme::SimilarityScheme;
 use congest::BitTally;
+use prand::mix::{bounded, mix64};
 use prand::{RepHash, RepHashFamily};
 use rand::Rng;
+use std::cell::Cell;
 
 /// Outcome of one `EstimateSimilarity` execution.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -127,40 +129,222 @@ impl EdgeSetup {
 ///
 /// Because the isolated-set operator is applied with `A = B = S'`, a
 /// window bit is set iff **exactly one** element of `S'` hashes to it, so
-/// the signature is computed in a single hashing pass over `S'` with a
-/// once/twice bit pair — no intermediate scaled vector, no sort, no
-/// per-edge hash map, and every element hashed exactly once (the
-/// equivalence with `isolated` + `window_bitmap` is pinned by a test).
-/// This is the inner loop of the ACD similarity estimates, evaluated per
-/// directed edge.
+/// the signature is one hashing pass over `S'` with a once/twice bit pair:
+/// no scaled vector is sorted, no hash map is built. This is the one-shot
+/// form of [`Signer::sign`]; a node signing its set for several edges
+/// should keep one [`Signer`], which shares the member-independent part of
+/// the hash across them. The equivalence with `isolated` + `window_bitmap`
+/// is pinned by a test for every kernel the host supports.
 pub fn window_signature(setup: &EdgeSetup, h: &RepHash, s: &[u64]) -> Vec<u64> {
-    let sigma = h.sigma();
-    let words = sigma.div_ceil(64) as usize;
-    let mut once = vec![0u64; words];
-    let mut twice = vec![0u64; words];
-    let mut tally = |value: u64| {
-        let hv = h.hash(value);
-        if hv < sigma {
-            let (w, bit) = ((hv / 64) as usize, 1u64 << (hv % 64));
-            twice[w] |= once[w] & bit;
-            once[w] |= bit;
+    Signer::new(s).sign(setup, h)
+}
+
+/// A node's signer for its own set `S`: [`Signer::sign`] returns the
+/// [`window_signature`] of `S` under one edge's setup and hash member.
+///
+/// A member hashes `y` to `bounded(mix64(seed ^ mix64(λ ^ mix64(index ^
+/// mix64(y)))), λ)`, and the innermost `mix64(y)` of a scaled element
+/// `y = x·k + i` depends on `k` but not on the member. The signer computes
+/// those inner words once per distinct `k` (a node's edges usually share
+/// one) and reuses them for every incident edge, which then pays three
+/// mixes per scaled element. The window test compares each mixed word
+/// against [`RepHash::window_cut`], so the widening multiply of `bounded`
+/// runs only for the in-window words (a σ/λ share, ≈ 2% in the ACD).
+/// A dropped signer leaves its buffers to the next signer on its thread.
+///
+/// # Example
+///
+/// ```
+/// use estimate::{window_signature, EdgeSetup, SimilarityScheme, Signer};
+///
+/// let own: Vec<u64> = (0..40).map(|x| 3 * x).collect();
+/// let setup = EdgeSetup::new(&SimilarityScheme::practical(0.25), own.len(), 50, 9);
+/// let mut signer = Signer::new(&own);
+/// for index in 0..4 {
+///     let h = setup.family.member(index);
+///     assert_eq!(signer.sign(&setup, &h), window_signature(&setup, &h, &own));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct Signer<'a> {
+    own: &'a [u64],
+    /// `(k, [mix64(x·k + i) for x ∈ S, i ∈ [k]])` for every `k` signed so
+    /// far, in `inner[..fresh]`. The entries past `fresh` are buffers that
+    /// an earlier signer on this thread left in [`SPARE`]; they are reused
+    /// before anything is allocated, since a new buffer per node
+    /// fragments the heap and raises peak RSS.
+    inner: Vec<(u64, Vec<u64>)>,
+    fresh: usize,
+    kernel: Kernel,
+}
+
+thread_local! {
+    /// The inner-word buffers of the last [`Signer`] dropped on this
+    /// thread.
+    static SPARE: Cell<Vec<(u64, Vec<u64>)>> = const { Cell::new(Vec::new()) };
+}
+
+impl Drop for Signer<'_> {
+    fn drop(&mut self) {
+        SPARE.set(std::mem::take(&mut self.inner));
+    }
+}
+
+impl<'a> Signer<'a> {
+    /// A signer for the set `own`.
+    pub fn new(own: &'a [u64]) -> Self {
+        Signer::with_kernel(own, Kernel::fastest())
+    }
+
+    fn with_kernel(own: &'a [u64], kernel: Kernel) -> Self {
+        Signer {
+            own,
+            inner: SPARE.take(),
+            fresh: 0,
+            kernel,
         }
-    };
-    if setup.k == 1 {
-        for &x in s {
-            tally(x);
+    }
+
+    /// The σ-bit signature `h(S' ¬_h S')` of `S' = own × [setup.k]`.
+    pub fn sign(&mut self, setup: &EdgeSetup, h: &RepHash) -> Vec<u64> {
+        let words = h.sigma().div_ceil(64) as usize;
+        let mut once = vec![0u64; words];
+        let mut twice = vec![0u64; words];
+        let kernel = self.kernel;
+        kernel.tally(h, self.inner_words(setup.k), &mut once, &mut twice);
+        for (o, t) in once.iter_mut().zip(&twice) {
+            *o &= !t;
         }
-    } else {
-        for &x in s {
-            for i in 0..setup.k {
-                tally(x * setup.k + i);
+        once
+    }
+
+    /// The inner words of `own × [k]`, computed on first use.
+    fn inner_words(&mut self, k: u64) -> &[u64] {
+        let seen = &self.inner[..self.fresh];
+        if let Some(at) = seen.iter().position(|&(seen_k, _)| seen_k == k) {
+            return &self.inner[at].1;
+        }
+        if self.fresh == self.inner.len() {
+            self.inner.push((k, Vec::new()));
+        }
+        let (slot_k, words) = &mut self.inner[self.fresh];
+        self.fresh += 1;
+        *slot_k = k;
+        words.clear();
+        words.reserve(self.own.len() * k as usize);
+        for &x in self.own {
+            words.extend((0..k).map(|i| mix64(x * k + i)));
+        }
+        words
+    }
+}
+
+/// Inner words per kernel chunk: one 512-bit vector of `u64` lanes.
+const LANES: usize = 8;
+
+/// Inner words mixed per block before any window test.
+const BLOCK: usize = 128;
+
+/// The compiled forms of [`tally_body`]. The platform picks one; there is
+/// no switch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// The portable build.
+    Scalar,
+    /// The same body compiled for `avx512f` + `avx512dq`, where the chunk's
+    /// 64-bit multiplies become 8-lane `vpmullq`.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Kernel {
+    /// The fastest kernel the running CPU supports.
+    fn fastest() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx512() {
+            return Kernel::Avx512;
+        }
+        Kernel::Scalar
+    }
+
+    /// Every kernel the running CPU supports.
+    #[cfg(test)]
+    fn supported() -> Vec<Self> {
+        let mut all = vec![Kernel::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        if has_avx512() {
+            all.push(Kernel::Avx512);
+        }
+        all
+    }
+
+    fn tally(self, h: &RepHash, inner: &[u64], once: &mut [u64], twice: &mut [u64]) {
+        match self {
+            Kernel::Scalar => tally_body(h, inner, once, twice),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => {
+                assert!(has_avx512(), "AVX-512 signature kernel on a CPU without it");
+                // SAFETY: `tally_avx512` is safe apart from its target
+                // features, `avx512f` and `avx512dq`, and the assert above
+                // has just confirmed with `is_x86_feature_detected!` that
+                // the running CPU supports both.
+                unsafe { tally_avx512(h, inner, once, twice) }
             }
         }
     }
-    for (o, t) in once.iter_mut().zip(&twice) {
-        *o &= !t;
+}
+
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn tally_avx512(h: &RepHash, inner: &[u64], once: &mut [u64], twice: &mut [u64]) {
+    tally_body(h, inner, once, twice);
+}
+
+/// Mark the window value of every inner word under `h` in the once/twice
+/// bit pair. A block of inner words is mixed chunk by chunk, [`LANES`]
+/// words at a time, with no branch in between, so consecutive chunks
+/// overlap in the pipeline. Then each chunk is tested against the window
+/// cut at once, and only a chunk with a hit is walked word by word. Only
+/// the hits are bounded and marked.
+#[inline(always)]
+fn tally_body(h: &RepHash, inner: &[u64], once: &mut [u64], twice: &mut [u64]) {
+    // `w < cut` as a `u64` compare `w <= last`; an empty window marks
+    // nothing, and `σ = λ` (cut `2⁶⁴`) passes every word.
+    let Some(last) = h.window_cut().checked_sub(1) else {
+        return;
+    };
+    let last = u64::try_from(last).unwrap_or(u64::MAX);
+    let lambda = h.lambda();
+    let mut mark = |w: u64| {
+        let hv = bounded(w, lambda);
+        let (i, bit) = ((hv / 64) as usize, 1u64 << (hv % 64));
+        twice[i] |= once[i] & bit;
+        once[i] |= bit;
+    };
+    let mut buf = [0u64; BLOCK];
+    for block in inner.chunks(BLOCK) {
+        let words = &mut buf[..block.len()];
+        words.copy_from_slice(block);
+        let (chunks, rest) = words.as_chunks_mut::<LANES>();
+        for chunk in chunks {
+            h.words_from_inner(chunk);
+        }
+        for w in rest {
+            *w = h.word_from_inner(*w);
+        }
+        for chunk in words.chunks(LANES) {
+            if chunk.iter().fold(false, |hit, &w| hit | (w <= last)) {
+                for &w in chunk.iter().filter(|&&w| w <= last) {
+                    mark(w);
+                }
+            }
+        }
     }
-    once
 }
 
 /// `|h(T_u) ∩ h(T_v)|` from the two bitmaps.
@@ -221,37 +405,84 @@ mod tests {
         estimate_similarity(&SimilarityScheme::practical(eps), su, sv, seed, &mut rng)
     }
 
-    /// The fused once/twice signature must equal the preserved
-    /// `isolated(S', S')` + `window_bitmap` reference composition.
+    /// A setup with a hand-picked range λ, window σ and scale factor `k`.
+    fn custom_setup(lambda: u64, sigma: u64, k: u64, seed: u64) -> EdgeSetup {
+        let params = prand::RepParams::practical(1.0 / 12.0, 1.0 / 3.0, lambda, sigma, 8);
+        EdgeSetup {
+            family: RepHashFamily::new(seed, params),
+            k,
+        }
+    }
+
+    /// Every signature kernel the host supports, called directly, and the
+    /// dispatching [`window_signature`] must equal the preserved
+    /// `isolated(S', S')` + `window_bitmap` reference composition. Each
+    /// signer here reuses the buffers the previous one left, with other
+    /// lengths and scale factors.
     #[test]
     fn window_signature_matches_isolated_bitmap_reference() {
-        let scheme = SimilarityScheme::practical(1.0 / 12.0);
-        for (len, seed) in [(0usize, 1u64), (1, 7), (5, 2), (40, 3), (200, 4)] {
-            let s: Vec<u64> = (0..len as u64).map(|i| i * 7 + seed % 3).collect();
-            let setup = EdgeSetup::new(&scheme, s.len().max(1), s.len().max(1), seed);
+        let kernels = Kernel::supported();
+        let check = |setup: &EdgeSetup, s: &[u64], case: &str| {
             for index in [0u64, 3] {
                 let h = setup.family.member(index);
-                assert_eq!(
-                    window_signature(&setup, &h, &s),
-                    window_signature_reference(&setup, &h, &s),
-                    "len={len} seed={seed} index={index} k={}",
-                    setup.k
-                );
+                let want = window_signature_reference(setup, &h, s);
+                let what = format!("{case}: len={} k={} index={index}", s.len(), setup.k);
+                assert_eq!(window_signature(setup, &h, s), want, "dispatch, {what}");
+                for &kernel in &kernels {
+                    let got = Signer::with_kernel(s, kernel).sign(setup, &h);
+                    assert_eq!(got, want, "{kernel:?}, {what}");
+                }
             }
+        };
+        let set = |len: usize, seed: u64| -> Vec<u64> {
+            (0..len as u64).map(|i| i * 7 + seed % 3).collect()
+        };
+        // Scheme-derived setups; these small sets all scale by
+        // k = scale_cap, the empty set included.
+        let scheme = SimilarityScheme::practical(1.0 / 12.0);
+        for (len, seed) in [(0usize, 1u64), (1, 7), (5, 2), (40, 3), (200, 4)] {
+            let setup = EdgeSetup::new(&scheme, len.max(1), len.max(1), seed);
+            assert_eq!(setup.k, scheme.scale_cap);
+            check(&setup, &set(len, seed), "scale cap");
         }
-        // k == 1 regime (scale-up disabled): same law.
+        // k == 1 (scale-up disabled), at lengths off the chunk and block
+        // widths.
         let flat = SimilarityScheme {
             scale_cap: 1,
             ..scheme
         };
-        let big: Vec<u64> = (0..4000u64).map(|i| i * 3).collect();
-        let setup = EdgeSetup::new(&flat, big.len(), big.len(), 11);
-        assert_eq!(setup.k, 1, "scale_cap 1 must pin k");
-        let h = setup.family.member(1);
-        assert_eq!(
-            window_signature(&setup, &h, &big),
-            window_signature_reference(&setup, &h, &big)
-        );
+        for len in [1usize, 7, 13, 129, 4000] {
+            let setup = EdgeSetup::new(&flat, len, len, 11);
+            assert_eq!(setup.k, 1, "scale_cap 1 must pin k");
+            check(&setup, &set(len, 5), "k = 1");
+        }
+        // σ = λ: the cut is 2⁶⁴ and every word is in the window; and an
+        // odd k, so scaled lengths leave a partial chunk.
+        for len in [0usize, 1, 5, 11, 50] {
+            let s = set(len, 2);
+            check(&custom_setup(64, 64, 1, 9), &s, "σ = λ, k = 1");
+            check(&custom_setup(600, 600, 3, 8), &s, "σ = λ, k = 3");
+            check(&custom_setup(601, 96, 3, 7), &s, "k = 3");
+        }
+        // Edges of different scale at one node: one signer serves them
+        // all, keeping one set of inner words per k.
+        let own = set(37, 1);
+        let setups = [
+            custom_setup(9472, 512, 16, 1),
+            custom_setup(601, 96, 3, 2),
+            custom_setup(4096, 512, 1, 3),
+            custom_setup(9472, 512, 16, 4),
+            custom_setup(601, 601, 3, 5),
+        ];
+        for &kernel in &kernels {
+            let mut signer = Signer::with_kernel(&own, kernel);
+            for (e, setup) in setups.iter().enumerate() {
+                let h = setup.family.member(e as u64);
+                let want = window_signature_reference(setup, &h, &own);
+                assert_eq!(signer.sign(setup, &h), want, "{kernel:?}, edge {e}");
+            }
+            assert_eq!(signer.fresh, 3, "one set of inner words per k");
+        }
     }
 
     #[test]

@@ -16,10 +16,33 @@
 /// ```
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x = x.wrapping_add(GAMMA);
+    x = (x ^ (x >> 30)).wrapping_mul(MUL1);
+    x = (x ^ (x >> 27)).wrapping_mul(MUL2);
     x ^ (x >> 31)
+}
+
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+const MUL1: u64 = 0xbf58_476d_1ce4_e5b9;
+const MUL2: u64 = 0x94d0_49bb_1331_11eb;
+
+/// [`mix64`] of every lane, computed one step at a time across all lanes.
+/// The lanes' dependency chains then interleave instead of running one
+/// after another, and a vector target runs each step as one instruction.
+#[inline(always)]
+pub(crate) fn mix64_lanes<const N: usize>(lanes: &mut [u64; N]) {
+    for x in lanes.iter_mut() {
+        *x = x.wrapping_add(GAMMA);
+    }
+    for x in lanes.iter_mut() {
+        *x = (*x ^ (*x >> 30)).wrapping_mul(MUL1);
+    }
+    for x in lanes.iter_mut() {
+        *x = (*x ^ (*x >> 27)).wrapping_mul(MUL2);
+    }
+    for x in lanes.iter_mut() {
+        *x ^= *x >> 31;
+    }
 }
 
 /// Mix two words into one.
@@ -60,6 +83,16 @@ mod tests {
     fn mix_is_deterministic() {
         assert_eq!(mix64(12345), mix64(12345));
         assert_eq!(mix3(1, 2, 3), mix3(1, 2, 3));
+    }
+
+    #[test]
+    fn mix64_lanes_is_mix64_per_lane() {
+        let mut lanes: [u64; 13] = std::array::from_fn(|i| mix64(i as u64) ^ (i as u64));
+        lanes[0] = 0;
+        lanes[1] = u64::MAX;
+        let want = lanes.map(mix64);
+        mix64_lanes(&mut lanes);
+        assert_eq!(lanes, want);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * `A ¬_h^{≤σ} B` — elements of `A|_h^{≤σ}` whose hash no other element
 //!   of `B` shares ([`RepHash::isolated`]).
 
-use crate::mix::{bounded, mix4};
+use crate::mix::{bounded, mix64, mix64_lanes};
 use crate::params::RepParams;
 use rand::Rng;
 use std::collections::HashMap;
@@ -71,11 +71,13 @@ impl RepHashFamily {
             index < self.params.family_size,
             "index {index} out of family range"
         );
+        let (lambda, sigma) = (self.params.lambda, self.params.sigma);
         RepHash {
             seed: self.seed,
-            lambda: self.params.lambda,
-            sigma: self.params.sigma,
+            lambda,
+            sigma,
             index,
+            cut: (u128::from(sigma) << 64).div_ceil(u128::from(lambda)),
         }
     }
 
@@ -99,13 +101,62 @@ pub struct RepHash {
     lambda: u64,
     sigma: u64,
     index: u64,
+    /// `⌈σ·2⁶⁴/λ⌉`, derived from the fields above ([`RepHash::window_cut`]).
+    cut: u128,
 }
 
 impl RepHash {
     /// Hash `x` into `[0, λ)`.
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
-        bounded(mix4(self.seed, self.lambda, self.index, x), self.lambda)
+        bounded(self.word(x), self.lambda)
+    }
+
+    /// `mix4(seed, λ, index, x)`, the word that [`RepHash::hash`] bounds.
+    #[inline]
+    fn word(&self, x: u64) -> u64 {
+        self.word_from_inner(mix64(x))
+    }
+
+    /// The mixed word `w` behind `hash(x) = bounded(w, λ)`, given the
+    /// innermost mix `inner = mix64(x)`: `w = mix4(seed, λ, index, x)`.
+    /// The inner mix does not depend on the member, so a node signing one
+    /// set under many members computes it once per element and reuses it.
+    #[inline(always)]
+    pub fn word_from_inner(&self, inner: u64) -> u64 {
+        mix64(self.seed ^ mix64(self.lambda ^ mix64(self.index ^ inner)))
+    }
+
+    /// [`RepHash::word_from_inner`] of every lane, in place. The same
+    /// definition, computed one mixing step at a time across the lanes, so
+    /// that their dependency chains interleave and vectorize.
+    #[inline(always)]
+    pub fn words_from_inner<const N: usize>(&self, lanes: &mut [u64; N]) {
+        for key in [self.index, self.lambda, self.seed] {
+            for x in lanes.iter_mut() {
+                *x ^= key;
+            }
+            mix64_lanes(lanes);
+        }
+    }
+
+    /// The exact window cut `⌈σ·2⁶⁴/λ⌉`: a mixed word `w` (see
+    /// [`RepHash::word_from_inner`]) lands in the window, `bounded(w, λ) <
+    /// σ`, iff `w < window_cut()`. Since `bounded(w, λ) = ⌊w·λ/2⁶⁴⌋`, the
+    /// test is `w·λ < σ·2⁶⁴`, i.e. `w < σ·2⁶⁴/λ`. It is `2⁶⁴` (every word
+    /// passes) when `σ = λ`, hence the `u128`. Comparing against it leaves
+    /// the widening multiply to the in-window words.
+    #[inline]
+    pub fn window_cut(&self) -> u128 {
+        self.cut
+    }
+
+    /// The window value `h(x)` if `x` hashes into the window, else `None`:
+    /// the one definition of "in window" every operator below uses.
+    #[inline]
+    fn window_hash(&self, x: u64) -> Option<u64> {
+        let w = self.word(x);
+        (u128::from(w) < self.cut).then(|| bounded(w, self.lambda))
     }
 
     /// Output range λ.
@@ -126,7 +177,7 @@ impl RepHash {
     /// Whether `x` hashes into the observation window (`h(x) < σ`).
     #[inline]
     pub fn in_window(&self, x: u64) -> bool {
-        self.hash(x) < self.sigma
+        self.window_hash(x).is_some()
     }
 
     /// `A|_h^{≤σ}`: the elements of `a` hashing into the window.
@@ -138,11 +189,7 @@ impl RepHash {
     /// and deduplicated. This is what a node actually transmits (as a
     /// σ-bit bitmap).
     pub fn low_image(&self, a: &[u64]) -> Vec<u64> {
-        let mut img: Vec<u64> = a
-            .iter()
-            .map(|&x| self.hash(x))
-            .filter(|&h| h < self.sigma)
-            .collect();
+        let mut img: Vec<u64> = a.iter().filter_map(|&x| self.window_hash(x)).collect();
         img.sort_unstable();
         img.dedup();
         img
@@ -159,10 +206,9 @@ impl RepHash {
         a.iter()
             .copied()
             .filter(|&x| {
-                let h = self.hash(x);
-                if h >= self.sigma {
+                let Some(h) = self.window_hash(x) else {
                     return false;
-                }
+                };
                 match counts.get(&h) {
                     None => false,
                     Some(&c) => {
@@ -196,7 +242,9 @@ impl RepHash {
             let mut twice = vec![0u64; words];
             let mut hashes = Vec::with_capacity(a.len());
             for &x in a {
-                let h = self.hash(x);
+                // σ stands for "outside the window", so the scratch
+                // stays 8 bytes per element (an `Option<u64>` takes 16).
+                let h = self.window_hash(x).unwrap_or(self.sigma);
                 hashes.push(h);
                 if h < self.sigma {
                     let (w, bit) = ((h / 64) as usize, 1u64 << (h % 64));
@@ -218,10 +266,9 @@ impl RepHash {
         a.iter()
             .copied()
             .filter(|&x| {
-                let h = self.hash(x);
-                if h >= self.sigma {
+                let Some(h) = self.window_hash(x) else {
                     return false;
-                }
+                };
                 match counts.get(&h) {
                     None => true,
                     Some(&c) => {
@@ -242,11 +289,8 @@ impl RepHash {
     pub fn window_bitmap(&self, xs: &[u64]) -> Vec<u64> {
         let words = self.sigma.div_ceil(64) as usize;
         let mut bits = vec![0u64; words];
-        for &x in xs {
-            let h = self.hash(x);
-            if h < self.sigma {
-                bits[(h / 64) as usize] |= 1 << (h % 64);
-            }
+        for h in xs.iter().filter_map(|&x| self.window_hash(x)) {
+            bits[(h / 64) as usize] |= 1 << (h % 64);
         }
         bits
     }
@@ -254,11 +298,8 @@ impl RepHash {
     /// Multiplicity of each window hash value over `b`.
     fn window_counts(&self, b: &[u64]) -> HashMap<u64, u32> {
         let mut counts = HashMap::new();
-        for &x in b {
-            let h = self.hash(x);
-            if h < self.sigma {
-                *counts.entry(h).or_insert(0u32) += 1;
-            }
+        for h in b.iter().filter_map(|&x| self.window_hash(x)) {
+            *counts.entry(h).or_insert(0u32) += 1;
         }
         counts
     }
@@ -274,6 +315,7 @@ pub fn bitmap_get(bits: &[u64], i: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mix::mix4;
     use std::collections::HashSet;
 
     fn family() -> RepHashFamily {
@@ -308,6 +350,56 @@ mod tests {
             assert_eq!(h.isolated(&d, &d), h.isolated(&d, &db), "index {index}");
             assert_eq!(h.isolated(&[], &[]).len(), 0);
         }
+    }
+
+    /// `w < window_cut() ⟺ bounded(w, λ) < σ`, at the boundary words and
+    /// on random words, for windows from one bucket up to `σ = λ` (cut
+    /// `2⁶⁴`) and ranges that do and do not divide `2⁶⁴`.
+    #[test]
+    fn window_cut_is_exact() {
+        for (lambda, sigma) in [
+            (2u64, 1u64),
+            (3, 1),
+            (3, 3),
+            (600, 96),
+            (28_672, 512),
+            (7_000_003, 2048),
+            (1 << 40, 1 << 39),
+            (u64::MAX, 1),
+            (u64::MAX, u64::MAX - 1),
+            (u64::MAX, u64::MAX),
+        ] {
+            let params = RepParams::practical(1.0 / 12.0, 1.0 / 3.0, lambda, sigma, 4);
+            let h = RepHashFamily::new(1, params).member(0);
+            let cut = h.window_cut();
+            assert_eq!(cut == 1 << 64, sigma == lambda, "λ={lambda} σ={sigma}");
+            let edges = [0, cut - 1, cut, u128::from(u64::MAX)];
+            let random = (0..4096u64).map(|i| u128::from(mix64(i ^ lambda)));
+            for w in edges.into_iter().chain(random) {
+                let Ok(w) = u64::try_from(w) else { continue };
+                assert_eq!(
+                    u128::from(w) < cut,
+                    bounded(w, lambda) < sigma,
+                    "λ={lambda} σ={sigma} w={w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_hash_agrees_with_hash() {
+        let f = family();
+        let h = f.member(4);
+        for x in 0..20_000u64 {
+            let v = h.hash(x);
+            assert_eq!(h.word(x), mix4(0xfeed, h.lambda(), 4, x));
+            assert_eq!(h.window_hash(x), (v < h.sigma()).then_some(v), "x={x}");
+            assert_eq!(h.in_window(x), v < h.sigma());
+        }
+        let mut lanes: [u64; 8] = std::array::from_fn(|i| mix64(i as u64 * 977));
+        let want = lanes.map(|inner| h.word_from_inner(inner));
+        h.words_from_inner(&mut lanes);
+        assert_eq!(lanes, want);
     }
 
     #[test]

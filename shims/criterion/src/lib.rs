@@ -7,7 +7,8 @@
 //!
 //! * [`Criterion::benchmark_group`] → [`BenchmarkGroup`] with chainable
 //!   [`sample_size`](BenchmarkGroup::sample_size) /
-//!   [`measurement_time`](BenchmarkGroup::measurement_time);
+//!   [`measurement_time`](BenchmarkGroup::measurement_time) /
+//!   [`throughput`](BenchmarkGroup::throughput) (elements only);
 //! * [`BenchmarkGroup::bench_function`] and
 //!   [`BenchmarkGroup::bench_with_input`] with [`BenchmarkId`];
 //! * [`Bencher::iter`];
@@ -16,7 +17,8 @@
 //! Measurement model: each benchmark closure is warmed up once, then timed
 //! for `sample_size` samples (default 10) or until `measurement_time` is
 //! exhausted, whichever comes first; the median per-iteration wall time is
-//! printed. This is intentionally simpler than criterion's bootstrap
+//! printed, with the time per element when a [`Throughput`] is set. This
+//! is intentionally simpler than criterion's bootstrap
 //! statistics — the workspace uses these benches for smoke-compile checks
 //! in CI (`cargo bench --no-run`) and for quick local comparisons, not for
 //! publishable confidence intervals.
@@ -65,6 +67,14 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// Work done per iteration, for per-element timing (criterion
+/// compatibility: only the element count is supported).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Throughput {
+    /// The iteration processes this many elements.
+    Elements(u64),
+}
+
 /// Top-level benchmark driver; hands out [`BenchmarkGroup`]s.
 #[derive(Debug, Default)]
 pub struct Criterion {
@@ -79,6 +89,7 @@ impl Criterion {
             name: group_name.into(),
             sample_size: 10,
             measurement_time: Duration::from_secs(3),
+            throughput: None,
         }
     }
 }
@@ -89,9 +100,17 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
     measurement_time: Duration,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Set the work per iteration of the benchmarks that follow; their
+    /// report adds the median time per element.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Set the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
@@ -140,8 +159,14 @@ impl BenchmarkGroup<'_> {
         }
         samples.sort_unstable();
         let median = samples[samples.len() / 2];
+        let per_element = match self.throughput {
+            Some(Throughput::Elements(n)) if n > 0 => {
+                format!(" ({:.2} ns/elem)", median.as_nanos() as f64 / n as f64)
+            }
+            _ => String::new(),
+        };
         println!(
-            "{}/{id}: median {:?} over {} samples",
+            "{}/{id}: median {:?} over {} samples{per_element}",
             self.name,
             median,
             samples.len()
