@@ -30,12 +30,14 @@ use congest::{Ctx, Program};
 use estimate::{intersection_size, EdgeSetup, Signer, SimilarityScheme};
 use graphs::NodeId;
 use prand::mix::mix3;
+use std::sync::Arc;
 
 /// Pass 1: per-edge similarity estimates over the *active* subgraph.
 #[derive(Debug)]
 struct BuddyEstimatePass {
     st: NodeState,
-    scheme: SimilarityScheme,
+    /// The pass's edge setups by `max(d_u, d_v)`, shared by every node.
+    shapes: Arc<[EdgeSetup]>,
     seed: u64,
     degree_bits: u32,
     neighbor_adeg: Vec<u32>,
@@ -51,11 +53,11 @@ struct BuddyEstimatePass {
 }
 
 impl BuddyEstimatePass {
-    fn new(st: NodeState, scheme: SimilarityScheme, seed: u64, n: usize) -> Self {
+    fn new(st: NodeState, shapes: Arc<[EdgeSetup]>, seed: u64, n: usize) -> Self {
         let degree = st.neighbor_active.len();
         BuddyEstimatePass {
             st,
-            scheme,
+            shapes,
             seed,
             degree_bits: bits_for_range(n as u64) as u32,
             neighbor_adeg: vec![0; degree],
@@ -80,9 +82,11 @@ impl BuddyEstimatePass {
             .collect()
     }
 
-    fn edge_setup(&self, a: NodeId, b: NodeId, da: usize, db: usize) -> EdgeSetup {
-        let seed = mix3(self.seed, u64::from(a.min(b)), u64::from(a.max(b)));
-        EdgeSetup::new(&self.scheme, da, db, seed)
+    /// The setup of the edge to the neighbor at `pos` (id `nb`), where
+    /// `my_deg` is this node's active degree.
+    fn edge_setup(&self, pos: usize, me: NodeId, nb: NodeId, my_deg: usize) -> EdgeSetup {
+        let seed = mix3(self.seed, u64::from(me.min(nb)), u64::from(me.max(nb)));
+        self.shapes[my_deg.max(self.neighbor_adeg[pos] as usize)].with_seed(seed)
     }
 }
 
@@ -121,8 +125,7 @@ impl Program for BuddyEstimatePass {
                 for pos in 0..ctx.neighbors().len() {
                     let nb = ctx.neighbors()[pos];
                     if self.st.neighbor_active[pos] && me < nb {
-                        let setup =
-                            self.edge_setup(me, nb, my_deg, self.neighbor_adeg[pos] as usize);
+                        let setup = self.edge_setup(pos, me, nb, my_deg);
                         let index = setup.family.sample_index(ctx.rng());
                         self.edge_index[pos] = index;
                         ctx.send(
@@ -156,7 +159,7 @@ impl Program for BuddyEstimatePass {
                         continue;
                     }
                     let nb = ctx.neighbors()[pos];
-                    let setup = self.edge_setup(me, nb, my_deg, self.neighbor_adeg[pos] as usize);
+                    let setup = self.edge_setup(pos, me, nb, my_deg);
                     let h = setup.family.member(self.edge_index[pos]);
                     let words = signer.sign(&setup, &h);
                     self.my_sigs[pos] = words.clone();
@@ -175,8 +178,7 @@ impl Program for BuddyEstimatePass {
                 let my_deg = self.active_degree();
                 for (pos, from, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
                     if let Wire::Bitmap { words, .. } = msg {
-                        let setup =
-                            self.edge_setup(me, from, my_deg, self.neighbor_adeg[pos] as usize);
+                        let setup = self.edge_setup(pos, me, from, my_deg);
                         // This node's signature for the edge is exactly
                         // the one computed (and sent) last round.
                         let mine = std::mem::take(&mut self.my_sigs[pos]);
@@ -412,11 +414,17 @@ pub fn compute_acd(
         ..SimilarityScheme::practical(profile.sim_eps)
     };
     let eps = profile.eps_acd;
+    // An edge setup's scale factor and family parameters depend only on
+    // max(d_u, d_v) ≤ Δ, so they are derived once per length here rather
+    // than once per edge end and round; each edge only re-keys the seed.
+    let shapes: Arc<[EdgeSetup]> = (0..=driver.graph.max_degree())
+        .map(|len| EdgeSetup::new(&scheme, len, len, 0))
+        .collect();
 
     // Pass 1: similarity estimates.
     let programs: Vec<BuddyEstimatePass> = states
         .into_iter()
-        .map(|st| BuddyEstimatePass::new(st, scheme, seed, n))
+        .map(|st| BuddyEstimatePass::new(st, Arc::clone(&shapes), seed, n))
         .collect();
     let programs = driver
         .run_seeded("acd-estimate", prand::mix::mix2(seed, 0xacd), programs)

@@ -298,7 +298,8 @@ impl<'g> Driver<'g> {
     }
 
     /// Refresh activation: node `v` stays/becomes active iff `keep(v)` and
-    /// it is uncolored; all activity/coloring flags are re-exchanged.
+    /// it is uncolored; nodes whose activity/coloring flags changed since
+    /// their last announcement re-send them (see [`ActivatePass`]).
     ///
     /// # Errors
     ///

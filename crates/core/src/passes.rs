@@ -2,7 +2,7 @@
 //! activation passes, and the adoption-digest helper shared by every pass
 //! that announces colors.
 
-use crate::state::NodeState;
+use crate::state::{NodeState, FLAG_ACTIVE, FLAG_UNCOLORED};
 use crate::wire::{tags, ColorWire, Wire};
 use congest::{Ctx, Program};
 
@@ -126,6 +126,11 @@ impl StatePass for CodecSetupPass {
 /// Phase activation: each node decides whether it participates in the
 /// current phase and everyone learns their neighbors' participation and
 /// coloring status. 2 rounds.
+///
+/// Activation is a delta exchange: a node sends its 2-bit flags only when
+/// they differ from the ones it last announced (`NodeState::announced`).
+/// Fault-free, every neighbor's view already equals that announcement, so
+/// the views after the pass are the ones a full re-broadcast would leave.
 #[derive(Debug)]
 pub struct ActivatePass {
     st: NodeState,
@@ -152,18 +157,21 @@ impl Program for ActivatePass {
         match ctx.round() {
             0 => {
                 self.st.active = self.should_activate && self.st.uncolored();
-                let value = u64::from(self.st.active) | (u64::from(self.st.uncolored()) << 1);
-                ctx.broadcast(Wire::Uint {
-                    tag: tags::ACTIVE,
-                    value,
-                    bits: 2,
-                });
+                let flags = self.st.activation_flags();
+                if flags != self.st.announced {
+                    self.st.announced = flags;
+                    ctx.broadcast(Wire::Uint {
+                        tag: tags::ACTIVE,
+                        value: u64::from(flags),
+                        bits: 2,
+                    });
+                }
             }
             _ => {
                 for (pos, _, msg) in inbox_positions(ctx.neighbors(), ctx.inbox()) {
                     if let Wire::Uint { value, .. } = msg {
-                        self.st.neighbor_active[pos] = value & 1 != 0;
-                        self.st.neighbor_uncolored[pos] = value & 2 != 0;
+                        self.st.neighbor_active[pos] = value & u64::from(FLAG_ACTIVE) != 0;
+                        self.st.neighbor_uncolored[pos] = value & u64::from(FLAG_UNCOLORED) != 0;
                     }
                 }
                 self.done = true;
@@ -245,6 +253,99 @@ mod tests {
         let pos = g.neighbors(1).binary_search(&2).unwrap();
         assert!(!states[1].neighbor_active[pos]);
         assert!(!states[1].neighbor_uncolored[pos]);
+    }
+
+    /// Every node's view of every neighbor equals that neighbor's flags.
+    fn assert_views_exact(g: &Graph, states: &[NodeState], context: &str) {
+        for st in states {
+            for (pos, &u) in g.neighbors(st.id).iter().enumerate() {
+                let nb = &states[u as usize];
+                assert_eq!(
+                    st.neighbor_active[pos], nb.active,
+                    "{context}: node {} sees neighbor {u}'s active flag wrong",
+                    st.id
+                );
+                assert_eq!(
+                    st.neighbor_uncolored[pos],
+                    nb.uncolored(),
+                    "{context}: node {} sees neighbor {u}'s uncolored flag wrong",
+                    st.id
+                );
+            }
+        }
+    }
+
+    /// Delta activation over random graphs: pre-colored nodes, random
+    /// keep-predicates, and adoptions between activations (some told to
+    /// the neighbors the way `digest_adoption` would, some not). After
+    /// every activation each node's views equal its neighbors' true
+    /// flags, and the pass sent exactly one 2-bit message per edge end
+    /// of every node whose flags changed since the previous activation.
+    #[test]
+    fn delta_activation_keeps_views_exact() {
+        use prand::mix::{mix2, mix3};
+        for seed in 0..12u64 {
+            let n = 40 + (seed as usize % 4) * 25;
+            let g = gen::gnp(n, 0.12, seed);
+            let mut states = fresh_states(&g, 16);
+            for st in &mut states {
+                if mix2(seed, u64::from(st.id)).is_multiple_of(6) {
+                    st.color = Some(st.palette.colors()[0]);
+                }
+            }
+            // Flags as of the previous activation: fresh views say
+            // (inactive, uncolored) about everyone.
+            let mut prev = vec![FLAG_UNCOLORED; n];
+            let mut driver = crate::driver::Driver::new(&g, SimConfig::seeded(seed));
+            for step in 0..8u64 {
+                let keep = |st: &NodeState| !mix3(seed, step, u64::from(st.id)).is_multiple_of(3);
+                states = driver.activate(states, keep).unwrap();
+                let context = format!("seed {seed}, activation {step}");
+                assert_views_exact(&g, &states, &context);
+                let now: Vec<u8> = states.iter().map(NodeState::activation_flags).collect();
+                let expected: u64 = (0..n)
+                    .filter(|&v| now[v] != prev[v])
+                    .map(|v| g.degree(v as u32) as u64)
+                    .sum();
+                let report = &driver.log.passes().last().unwrap().report;
+                assert_eq!(report.rounds, 2, "{context}");
+                assert_eq!(report.messages, expected, "{context}: messages");
+                assert_eq!(report.total_bits, 2 * expected, "{context}: bits");
+                prev = now;
+                // Adoptions between activations.
+                for v in 0..n {
+                    let r = mix3(seed ^ 0xad07, step, v as u64);
+                    if states[v].uncolored() && r.is_multiple_of(5) {
+                        let c = states[v].palette.colors()[0];
+                        states[v].adopt(c, "test");
+                        if r.is_multiple_of(2) {
+                            for &u in g.neighbors(v as u32) {
+                                let pos = g.neighbors(u).binary_search(&(v as u32)).unwrap();
+                                states[u as usize].neighbor_uncolored[pos] = false;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A node whose flags did not change stays silent: a repeated
+    /// activation with the same decisions sends nothing, and the views
+    /// it leaves are unchanged.
+    #[test]
+    fn repeated_activation_sends_nothing() {
+        let g = gen::gnp(50, 0.2, 3);
+        let mut driver = crate::driver::Driver::new(&g, SimConfig::seeded(4));
+        let keep = |st: &NodeState| st.id.is_multiple_of(2);
+        let states = driver.activate(fresh_states(&g, 16), keep).unwrap();
+        let first = driver.log.passes()[0].report.messages;
+        let even_degrees: usize = (0..50).step_by(2).map(|v| g.degree(v)).sum();
+        assert_eq!(first, even_degrees as u64, "only the activated nodes send");
+        let states = driver.activate(states, keep).unwrap();
+        assert_eq!(driver.log.passes()[1].report.messages, 0);
+        assert_eq!(driver.log.passes()[1].report.rounds, 2);
+        assert_views_exact(&g, &states, "repeat");
     }
 
     #[test]

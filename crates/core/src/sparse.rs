@@ -180,6 +180,10 @@ mod tests {
                 );
                 st.active = true;
                 st.neighbor_active = vec![true; d];
+                // Every node starts active, so every neighbor's view
+                // already holds this node's flags: the next activation
+                // only sends what changes.
+                st.announced = st.activation_flags();
                 st
             })
             .collect()

@@ -4,6 +4,11 @@ use crate::palette::Palette;
 use crate::wire::ColorCodec;
 use graphs::{Color, NodeId};
 
+/// The [`NodeState::activation_flags`] bit of an active node.
+pub(crate) const FLAG_ACTIVE: u8 = 1;
+/// The [`NodeState::activation_flags`] bit of an uncolored node.
+pub(crate) const FLAG_UNCOLORED: u8 = 2;
+
 /// A node's ACD classification within the current phase (Definition 6).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AcdClass {
@@ -38,6 +43,11 @@ pub struct NodeState {
     pub neighbor_uncolored: Vec<bool>,
     /// Per sorted-neighbor position: is that neighbor active this phase?
     pub neighbor_active: Vec<bool>,
+    /// The activation flags this node last broadcast (see
+    /// [`NodeState::activation_flags`]). Starts as (inactive, uncolored),
+    /// which is the view [`NodeState::new`] gives every neighbor, so an
+    /// activation only has to send a flag pair that differs from it.
+    pub(crate) announced: u8,
     /// ACD class in the current phase.
     pub class: AcdClass,
     /// Almost-clique hub id (the minimum-id member, used for clique-local
@@ -86,6 +96,7 @@ impl NodeState {
             codec,
             neighbor_uncolored: vec![true; degree],
             neighbor_active: vec![false; degree],
+            announced: FLAG_UNCOLORED,
             class: AcdClass::Unclassified,
             clique: None,
             leader: None,
@@ -108,6 +119,14 @@ impl NodeState {
     /// Whether this node still needs a color.
     pub fn uncolored(&self) -> bool {
         self.color.is_none()
+    }
+
+    /// This node's (active, uncolored) pair as the 2-bit activation
+    /// payload: bit 0 = active, bit 1 = uncolored.
+    pub(crate) fn activation_flags(&self) -> u8 {
+        let active = if self.active { FLAG_ACTIVE } else { 0 };
+        let uncolored = if self.uncolored() { FLAG_UNCOLORED } else { 0 };
+        active | uncolored
     }
 
     /// Number of uncolored neighbors.

@@ -103,6 +103,17 @@ impl EdgeSetup {
         }
     }
 
+    /// The setup of another edge with the same `max(|S_u|, |S_v|)`: the
+    /// scale factor and family parameters depend only on that length, so
+    /// a caller that derived them once re-keys the family per edge seed.
+    /// Equal to `EdgeSetup::new` with that edge's sizes and `seed`.
+    pub fn with_seed(&self, seed: u64) -> Self {
+        EdgeSetup {
+            family: RepHashFamily::new(seed, *self.family.params()),
+            k: self.k,
+        }
+    }
+
     /// Step 5: joint hash choice; the index ride costs `⌈log₂ F⌉` bits in
     /// one direction.
     pub fn pick_hash<R: Rng + ?Sized>(&self, rng: &mut R, tally: &mut BitTally) -> RepHash {
@@ -531,6 +542,22 @@ mod tests {
             }
         }
         assert!(ok >= 27, "only {ok}/30 trials within ε bound");
+    }
+
+    #[test]
+    fn with_seed_is_new_with_the_same_max_length() {
+        let scheme = SimilarityScheme {
+            sigma_cap: 512,
+            scale_cap: 16,
+            ..SimilarityScheme::practical(0.25)
+        };
+        for (su, sv, seed) in [(0, 0, 1), (3, 9, 2), (9, 3, 3), (24, 24, 4), (7, 400, 5)] {
+            let direct = EdgeSetup::new(&scheme, su, sv, seed);
+            let max = su.max(sv);
+            let reseeded = EdgeSetup::new(&scheme, max, max, 0).with_seed(seed);
+            assert_eq!(direct.family, reseeded.family, "({su}, {sv})");
+            assert_eq!(direct.k, reseeded.k, "({su}, {sv})");
+        }
     }
 
     #[test]

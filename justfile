@@ -110,6 +110,11 @@ test-slow:
     PROPTEST_CASES=96 cargo test -q --test prop_invariants crashed_
     PROPTEST_CASES=96 cargo test -q --test prop_invariants async_
 
+# The nightly server soak: the serving concurrency tests 20 times back
+# to back, so a timing flake shows up here rather than in a PR gate.
+soak-server:
+    for i in $(seq 1 20); do cargo test -q --release --test server_concurrency || exit 1; done
+
 # The frozen benchmark package's self-test (perfbench/, declared in
 # BENCHMARK.json), exactly as CI runs it.
 perfbench-selftest:

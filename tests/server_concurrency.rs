@@ -353,10 +353,13 @@ fn drop_with_outstanding_tickets_fails_closed_promptly() {
 #[test]
 fn watchdog_escalates_wedged_solves() {
     use std::time::Duration;
-    // Large instance + tiny budget: the solve cannot finish in 2ms, so
-    // the watchdog cancels it at a pass boundary.
-    let (g, lists) = instance(600, 9);
-    let budget = Duration::from_millis(2);
+    // The budget sits between the two solves with a 10x margin on each
+    // side, in debug and release builds alike (2-core host, 5 runs
+    // each): the n = 1000 solve takes >= 350 ms in release (~18 s in
+    // debug), so the watchdog cancels it at a pass boundary; the n = 20
+    // probe takes <= 0.31 ms in debug, so it always beats the watchdog.
+    let (g, lists) = instance(1000, 9);
+    let budget = Duration::from_millis(20);
     let config = ServiceConfig::builder()
         .workers(1)
         .memo(0)
